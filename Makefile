@@ -6,11 +6,11 @@ GO ?= go
 # lock-free metrics registry all of them report into.
 RACE_PKGS = ./internal/arena/ ./internal/core/ ./internal/reclaim/ ./internal/kvstore/ ./internal/cluster/ ./internal/obs/ ./internal/torture/
 
-.PHONY: check vet orcvet build test race cluster-guards bench-alloc bench-scan serve load smoke metrics-smoke torture-smoke torture-orc cluster-smoke overload-smoke bench-kv bench-cluster bench-cluster-short profile-cluster clean
+.PHONY: check vet orcvet build test race cluster-guards bench-alloc bench-scan serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke bench-kv bench-cluster bench-cluster-short profile-cluster clean
 
 BIN = bin
 
-check: vet orcvet build test race cluster-guards torture-orc
+check: vet orcvet build test race cluster-guards torture-orc torture-kv
 
 vet:
 	$(GO) vet ./...
@@ -116,6 +116,16 @@ torture-orc:
 	$(GO) build -o $(BIN)/orctorture ./cmd/orctorture
 	subjects=$$(./$(BIN)/orctorture -list | grep orc | paste -sd, -); \
 	for seed in 1 2 3 4; do \
+	  ./$(BIN)/orctorture -seed $$seed -stalls 2 -ops 5000 -subjects $$subjects || exit 1; \
+	done
+
+# KV torture: every kvstore subject (one chaos subject per store scheme
+# plus kv-overload) over eight seeds with two stalled readers. Each
+# subject ends in the store's drain leak verdict. Part of `make check`.
+torture-kv:
+	$(GO) build -o $(BIN)/orctorture ./cmd/orctorture
+	subjects=$$(./$(BIN)/orctorture -list | grep '^kv' | paste -sd, -); \
+	for seed in 1 2 3 4 5 6 7 8; do \
 	  ./$(BIN)/orctorture -seed $$seed -stalls 2 -ops 5000 -subjects $$subjects || exit 1; \
 	done
 

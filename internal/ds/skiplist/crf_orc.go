@@ -84,7 +84,8 @@ func (s *CRFOrc) releaseSeek(tid int, r *orcSeek) {
 }
 
 // find fills the preds/succs windows, snipping marked nodes; stepping on
-// a poisoned link restarts the whole descent.
+// a poisoned link restarts the whole descent. pred/curr/succ rotate by
+// SwapPtr, as in the Michael list, so each hop is one fused Load.
 func (s *CRFOrc) find(tid int, key uint64, r *orcSeek) bool {
 	d := s.d
 	var pred, curr, succ core.Ptr
@@ -124,8 +125,8 @@ retry:
 					}
 				}
 				if d.Get(curr.H()).key < key {
-					d.CopyPtr(tid, &pred, &curr)
-					d.CopyPtr(tid, &curr, &succ)
+					d.SwapPtr(tid, &pred, &curr)
+					d.SwapPtr(tid, &curr, &succ)
 					curr.Unmark()
 				} else {
 					break
@@ -289,7 +290,7 @@ retry:
 					return count
 				}
 			}
-			d.CopyPtr(tid, &cur, &succ)
+			d.SwapPtr(tid, &cur, &succ)
 			cur.Unmark()
 		}
 	}
@@ -369,7 +370,7 @@ retry:
 					continue retry
 				}
 				for succH.Marked() {
-					d.CopyPtr(tid, &curr, &succ)
+					d.SwapPtr(tid, &curr, &succ)
 					curr.Unmark()
 					succH = d.Load(tid, &d.Get(curr.H()).next[level], &succ)
 					if isPoison(succH) {
@@ -379,8 +380,8 @@ retry:
 					}
 				}
 				if d.Get(curr.H()).key < key {
-					d.CopyPtr(tid, &pred, &curr)
-					d.CopyPtr(tid, &curr, &succ)
+					d.SwapPtr(tid, &pred, &curr)
+					d.SwapPtr(tid, &curr, &succ)
 					curr.Unmark()
 				} else {
 					break

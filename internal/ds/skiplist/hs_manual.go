@@ -145,7 +145,11 @@ levels:
 			if arena.Handle(old).Marked() || !n.next[l].CompareAndSwap(old, uint64(r.succs[l])) {
 				break levels
 			}
-			if a.Get(r.preds[l]).next[l].CompareAndSwap(uint64(r.succs[l]), uint64(nh)) {
+			// A successor with nh's own key is a removed twin the find saw
+			// live at this level; linked behind nh, the twin's final find
+			// would stop at nh and retire it still linked. Snip it first.
+			if a.Get(r.succs[l]).key != n.key &&
+				a.Get(r.preds[l]).next[l].CompareAndSwap(uint64(r.succs[l]), uint64(nh)) {
 				break
 			}
 			s.find(n.key, r)

@@ -71,6 +71,47 @@ func TestHSManualUpperLinkUsesCurrentSuccessor(t *testing.T) {
 	}
 }
 
+// TestHSManualNoLinkBeforeRemovedTwin: an insert's find sees X, a node
+// with the same key, live at level 1; X is removed before the find
+// reaches level 0, where it is snipped. Linking the new node at level 1
+// in front of X would hide X from its own final find, which would then
+// retire X while the new node still links to it.
+func TestHSManualNoLinkBeforeRemovedTwin(t *testing.T) {
+	s := NewHSManual("ebr", reclaim.Options{MaxThreads: 3})
+	x := insertLevel(s, 20, func(l int32) bool { return l >= 1 })
+	xn := s.a.Get(x)
+	xn.claims.Store(0) // X's inserter has not let go yet
+	var r mseek
+	s.find(20, &r) // upper levels: head → X
+	if !s.Remove(2, 20) {
+		t.Fatal("remove failed")
+	}
+	// The rest of the descent: level 0 snips the marked X.
+	r.succs[0] = arena.Handle(xn.next[0].Load()).Unmarked()
+	s.a.Get(s.headH).next[0].Store(uint64(r.succs[0]))
+
+	s.s.BeginOp(1)
+	nh, n := s.a.AllocT(1)
+	n.key, n.topLevel = 20, 1
+	s.link(1, nh, n, &r)
+	s.s.EndOp(1)
+	s.s.BeginOp(0)
+	s.release(0, x, &r) // X's inserter lets go: final find, then retire
+	s.s.EndOp(0)
+	flushEBR(s, 3)
+	if s.a.Valid(x) {
+		t.Fatal("removed X was not reclaimed; the test cannot observe a stale link")
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("traversal after the insert: %v", p)
+		}
+	}()
+	if s.Contains(0, 50) || !s.Contains(0, 20) {
+		t.Fatal("wrong membership after the insert")
+	}
+}
+
 // TestHSManualRemoveWaitsForInserter: a node removed while its inserter
 // may still link upper levels is retired only once both have let go.
 func TestHSManualRemoveWaitsForInserter(t *testing.T) {

@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"math"
+
 	"repro/internal/arena"
 	"repro/internal/reclaim"
 )
@@ -107,27 +109,24 @@ type DrainReport struct {
 // for on the leak lists).
 func (st *Store) DrainAndCheck(tid int) DrainReport {
 	deleted := 0
-	for {
-		pairs, _ := st.Scan(tid, MinKey, 4096)
-		if len(pairs) == 0 {
-			break
-		}
-		for i := 0; i < len(pairs); i += 2 {
-			if ok, _ := st.Del(tid, pairs[i]); ok {
-				deleted++
-			}
-		}
-	}
-	// A Del racing a Put of the same key can leave it in the hash map
-	// only (point remove, point insert, scan put, scan remove), where the
-	// scan above cannot see it.
 	for i := range st.shards {
+		sh := &st.shards[i]
 		var keys []uint64
-		st.shards[i].point.Keys(func(k uint64) { keys = append(keys, k) })
+		sh.point.Keys(func(k uint64) { keys = append(keys, k) })
 		for _, k := range keys {
 			if ok, _ := st.Del(tid, k); ok {
 				deleted++
 			}
+		}
+		// Ghost keys: a Del racing a Put can leave a key in the scan index
+		// only. They hold no value, so they do not count as deleted.
+		keys = keys[:0]
+		sh.scan.Scan(tid, MinKey, math.MaxInt, func(k, _ uint64) bool {
+			keys = append(keys, k)
+			return true
+		})
+		for _, k := range keys {
+			sh.scan.Remove(tid, k)
 		}
 	}
 	// Flush rounds: every tid clears its protections, then each round

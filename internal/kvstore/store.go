@@ -1,7 +1,10 @@
 // Package kvstore is orcstore: a sharded in-memory key/value store
 // whose shards are the repo's lock-free maps, generic over reclamation
-// scheme. Each shard pairs a hash map (point ops: Get/Put/Del) with a
-// skip list (ordered Scan); both indexes hold the same key→value pairs.
+// scheme. Each shard pairs a hash map (point ops: Get/Put/Del), which is
+// authoritative and alone holds the values, with a skip list (ordered
+// Scan) holding its keys, written only when Put inserts a key or Del
+// removes one. Once quiet the skip list holds every key, plus perhaps a
+// few ghost keys the hash map lost to a Del/Put race; Scan skips them.
 // The store exists to put every reclamation scheme under real traffic —
 // long-lived connections, pipelined mixed workloads, range scans that
 // pin epochs — rather than the closed-loop microbenchmark shape.
@@ -85,9 +88,10 @@ type pointIndex interface {
 	Keys(emit func(key uint64)) // quiescent use only
 }
 
-// scanIndex is the skip-list face of a shard.
+// scanIndex is the skip-list face of a shard: an ordered key set (Scan
+// emits zero values).
 type scanIndex interface {
-	Put(tid int, key, val uint64) bool
+	Insert(tid int, key uint64) bool
 	Remove(tid int, key uint64) bool
 	Scan(tid int, from uint64, limit int, emit func(k, v uint64) bool) int
 }
@@ -241,16 +245,17 @@ func (st *Store) shardOf(key uint64) *shard {
 
 func validKey(key uint64) bool { return key >= MinKey && key <= MaxKey }
 
-// Put inserts or updates key; true when newly inserted. The two indexes
-// are each linearizable but updated point-index-first, so a concurrent
-// Scan may trail a Put/Del by one operation.
+// Put inserts or updates key; true when newly inserted. An update
+// touches only the point index.
 func (st *Store) Put(tid int, key, val uint64) (bool, error) {
 	if !validKey(key) {
 		return false, fmt.Errorf("kvstore: key %d out of range", key)
 	}
 	sh := st.shardOf(key)
 	ins := sh.point.Put(tid, key, val)
-	sh.scan.Put(tid, key, val)
+	if ins {
+		sh.scan.Insert(tid, key)
+	}
 	return ins, nil
 }
 
@@ -263,20 +268,27 @@ func (st *Store) Get(tid int, key uint64) (uint64, bool, error) {
 	return v, ok, nil
 }
 
-// Del removes key; true if it was present.
+// Del removes key; true if it was present. A Put re-inserting key between
+// the point and scan removes is caught by the re-check, which restores it.
 func (st *Store) Del(tid int, key uint64) (bool, error) {
 	if !validKey(key) {
 		return false, fmt.Errorf("kvstore: key %d out of range", key)
 	}
 	sh := st.shardOf(key)
 	ok := sh.point.Remove(tid, key)
-	sh.scan.Remove(tid, key)
+	if ok {
+		sh.scan.Remove(tid, key)
+		if _, back := sh.point.Get(tid, key); back {
+			sh.scan.Insert(tid, key)
+		}
+	}
 	return ok, nil
 }
 
 // Scan emits up to limit pairs with key ≥ from in ascending key order,
-// k-way-merging the per-shard ordered scans. Each shard scan runs once,
-// bounded by limit, inside its own protection bracket.
+// k-way-merging the per-shard key scans and reading each value from the
+// point index, skipping ghost keys. When a full shard batch is used up
+// with the result still short, the next round resumes past its last key.
 func (st *Store) Scan(tid int, from uint64, limit int) ([]uint64, error) {
 	if from < MinKey {
 		from = MinKey
@@ -284,39 +296,42 @@ func (st *Store) Scan(tid int, from uint64, limit int) ([]uint64, error) {
 	if limit <= 0 {
 		return nil, nil
 	}
-	type cursor struct {
-		pairs []uint64 // k,v interleaved, ascending
-		pos   int
-	}
-	curs := make([]cursor, len(st.shards))
-	for i := range st.shards {
-		c := &curs[i]
-		st.shards[i].scan.Scan(tid, from, limit, func(k, v uint64) bool {
-			c.pairs = append(c.pairs, k, v)
-			return true
-		})
-	}
+	keys := make([][]uint64, len(st.shards)) // per shard, ascending
+	pos := make([]int, len(st.shards))
 	out := make([]uint64, 0, 2*limit)
-	for len(out) < 2*limit {
-		best := -1
-		var bestKey uint64
-		for i := range curs {
-			c := &curs[i]
-			if c.pos >= len(c.pairs) {
-				continue
+	for {
+		want := limit - len(out)/2
+		for i := range st.shards {
+			ks := keys[i][:0]
+			st.shards[i].scan.Scan(tid, from, want, func(k, _ uint64) bool {
+				ks = append(ks, k)
+				return true
+			})
+			keys[i], pos[i] = ks, 0
+		}
+		for {
+			best := -1
+			for i, ks := range keys {
+				if pos[i] < len(ks) && (best < 0 || ks[pos[i]] < keys[best][pos[best]]) {
+					best = i
+				}
 			}
-			if best < 0 || c.pairs[c.pos] < bestKey {
-				best, bestKey = i, c.pairs[c.pos]
+			if best < 0 {
+				return out, nil
+			}
+			k := keys[best][pos[best]]
+			pos[best]++
+			if v, ok := st.shards[best].point.Get(tid, k); ok {
+				if out = append(out, k, v); len(out) == 2*limit {
+					return out, nil
+				}
+			}
+			if pos[best] == want && k < MaxKey { // the shard may hold more past k
+				from = k + 1
+				break
 			}
 		}
-		if best < 0 {
-			break
-		}
-		c := &curs[best]
-		out = append(out, c.pairs[c.pos], c.pairs[c.pos+1])
-		c.pos += 2
 	}
-	return out, nil
 }
 
 // live sums arena Live over every index.

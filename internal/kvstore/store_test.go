@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -20,6 +22,9 @@ func TestStoreAllModes(t *testing.T) {
 			for k := uint64(1); k <= 20; k++ {
 				st.Put(0, k*3, k)
 			}
+			// A ghost key: in the scan index only, as a Del racing a Put
+			// can leave it. Scan must skip it and the drain remove it.
+			st.shardOf(7).scan.Insert(0, 7)
 			if v, ok, _ := st.Get(0, 5); !ok || v != 55 {
 				t.Fatalf("get(5) = %d,%v", v, ok)
 			}
@@ -51,15 +56,135 @@ func TestStoreAllModes(t *testing.T) {
 			if _, err := st.Put(0, 0, 1); err == nil {
 				t.Fatal("key 0 must be rejected")
 			}
-			// What a Del racing a Put of the same key can leave behind:
-			// the key in the hash map only, invisible to Scan.
-			st.shardOf(7).point.Put(0, 7, 70)
 			rep := st.DrainAndCheck(0)
 			if !rep.LeakOK {
 				t.Fatalf("drain leak check failed: %+v", rep)
 			}
-			if rep.Deleted != 21 {
-				t.Fatalf("drain deleted %d keys, want 21", rep.Deleted)
+			if rep.Deleted != 20 {
+				t.Fatalf("drain deleted %d keys, want 20", rep.Deleted)
+			}
+		})
+	}
+}
+
+// hookedScan is a scan index whose next Remove first runs hook.
+type hookedScan struct {
+	scanIndex
+	hook func()
+}
+
+func (h *hookedScan) Remove(tid int, key uint64) bool {
+	if f := h.hook; f != nil {
+		h.hook = nil
+		f()
+	}
+	return h.scanIndex.Remove(tid, key)
+}
+
+// TestStoreDelPutInterleaving drives point remove → point insert → scan
+// insert → scan remove on one key: a Put landing between Del's two
+// removes. The key must stay visible to both Get and Scan.
+func TestStoreDelPutInterleaving(t *testing.T) {
+	const k = 42
+	for _, mode := range []string{"orcgc", "ebr", "hp"} {
+		t.Run(mode, func(t *testing.T) {
+			st, err := New(Config{Scheme: mode, Shards: 1, Buckets: 16, MaxThreads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Put(0, k, 1)
+			hs := &hookedScan{scanIndex: st.shards[0].scan}
+			hs.hook = func() { st.Put(1, k, 2) }
+			st.shards[0].scan = hs
+			st.Del(0, k)
+			if v, ok, _ := st.Get(0, k); !ok || v != 2 {
+				t.Fatalf("Get(%d) = %d,%v, want 2,true", k, v, ok)
+			}
+			if pairs, _ := st.Scan(0, k, 1); len(pairs) != 2 || pairs[0] != k || pairs[1] != 2 {
+				t.Fatalf("Scan(%d, 1) = %v, want [%d 2]", k, pairs, k)
+			}
+			if rep := st.DrainAndCheck(0); !rep.LeakOK || rep.Deleted != 1 {
+				t.Fatalf("drain: %+v", rep)
+			}
+		})
+	}
+}
+
+// TestStoreScanSkipsGhosts: ghost keys filling whole shard batches must
+// not cut a Scan short; it resumes past each exhausted batch.
+func TestStoreScanSkipsGhosts(t *testing.T) {
+	st, err := New(Config{Scheme: "orcgc", Shards: 2, Buckets: 16, MaxThreads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 20; k++ {
+		st.shardOf(k).scan.Insert(0, k)
+	}
+	for _, k := range []uint64{9, 21, 30} {
+		st.Put(0, k, k*10)
+	}
+	pairs, _ := st.Scan(0, MinKey, 2)
+	if len(pairs) != 4 || pairs[0] != 9 || pairs[1] != 90 || pairs[2] != 21 || pairs[3] != 210 {
+		t.Fatalf("Scan = %v, want [9 90 21 210]", pairs)
+	}
+	if pairs, _ = st.Scan(0, 22, 5); len(pairs) != 2 || pairs[0] != 30 {
+		t.Fatalf("Scan from 22 = %v, want [30 300]", pairs)
+	}
+	if rep := st.DrainAndCheck(0); !rep.LeakOK || rep.Deleted != 3 {
+		t.Fatalf("drain: %+v", rep)
+	}
+}
+
+// TestStoreIndexesAgreeAfterChurn: goroutines race Put/Del on four keys;
+// once they are quiet, Scan's keys must equal the point index's and
+// every Scan value must equal Get's.
+func TestStoreIndexesAgreeAfterChurn(t *testing.T) {
+	const threads, rounds, ops = 4, 20, 200
+	for _, mode := range []string{"orcgc", "ebr", "hp"} {
+		t.Run(mode, func(t *testing.T) {
+			st, err := New(Config{Scheme: mode, Shards: 2, Buckets: 4, MaxThreads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < rounds; r++ {
+				var wg sync.WaitGroup
+				for tid := 0; tid < threads; tid++ {
+					wg.Add(1)
+					go func(tid int) {
+						defer wg.Done()
+						x := uint64(r*threads+tid)*0x9e3779b97f4a7c15 | 1
+						for i := 0; i < ops; i++ {
+							x ^= x << 13
+							x ^= x >> 7
+							x ^= x << 17
+							if k := x%4 + 1; x&16 == 0 {
+								st.Put(tid, k, x)
+							} else {
+								st.Del(tid, k)
+							}
+						}
+					}(tid)
+				}
+				wg.Wait()
+				var want []uint64
+				for i := range st.shards {
+					st.shards[i].point.Keys(func(k uint64) { want = append(want, k) })
+				}
+				slices.Sort(want)
+				pairs, _ := st.Scan(0, MinKey, 64)
+				var got []uint64
+				for i := 0; i < len(pairs); i += 2 {
+					got = append(got, pairs[i])
+					if v, ok, _ := st.Get(0, pairs[i]); !ok || v != pairs[i+1] {
+						t.Fatalf("round %d: Scan has %d=%d, Get has %d,%v", r, pairs[i], pairs[i+1], v, ok)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("round %d: Scan keys %v, point keys %v", r, got, want)
+				}
+			}
+			if rep := st.DrainAndCheck(0); !rep.LeakOK {
+				t.Fatalf("drain: %+v", rep)
 			}
 		})
 	}
