@@ -108,14 +108,15 @@ TORTURE_SEED ?= 1
 torture-smoke:
 	$(GO) run -race ./cmd/orctorture -seed $(TORTURE_SEED) -threads 4 -ops 600 -stalls 1
 
-# OrcGC torture: every OrcGC subject (names containing "orc") over four
+# OrcGC torture: every OrcGC subject (names containing "orc") over eight
 # seeds with two stalled readers and longer runs than the smoke, without
 # -race so the fused Load / SwapPtr traversals see realistic interleaving
-# density. Part of `make check`.
+# density. Each subject ends in a live == baseline leak verdict, which is
+# what a missed ORC_ZERO retire would trip. Part of `make check`.
 torture-orc:
 	$(GO) build -o $(BIN)/orctorture ./cmd/orctorture
 	subjects=$$(./$(BIN)/orctorture -list | grep orc | paste -sd, -); \
-	for seed in 1 2 3 4; do \
+	for seed in 1 2 3 4 5 6 7 8; do \
 	  ./$(BIN)/orctorture -seed $$seed -stalls 2 -ops 5000 -subjects $$subjects || exit 1; \
 	done
 

@@ -116,11 +116,12 @@ func (d *Domain[T]) Exchange(tid int, a *Atomic, h arena.Handle) arena.Handle {
 // protection before a is read. Load into a different Ptr and SwapPtr.
 func (d *Domain[T]) Load(tid int, a *Atomic, p *Ptr) arena.Handle {
 	if p.idx != 0 && d.tl[tid].usedHaz[p.idx] == 1 {
-		d.clear(tid, p.h, p.idx, true)
+		d.clear(tid, p, true)
 	} else {
 		d.SetNil(tid, p)
 		p.idx = d.getNewIdx(tid, 1)
 	}
+	p.fresh = false
 	p.h = d.getProtected(tid, p.idx, a)
 	return p.h
 }

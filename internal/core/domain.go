@@ -23,8 +23,13 @@ type tlInfo struct {
 	usedHaz       []int32
 	retireStarted bool
 	recursive     []arena.Handle
-	elides        atomic.Uint64 // elided hp publications, single-writer
+	// Single-writer counters, bumped with inc and summed by readers.
+	elides, retires, frees atomic.Uint64
 }
+
+// inc bumps a counter only its owning thread writes: a plain load and
+// store, no read-modify-write on a shared line.
+func inc(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
 // pub publishes u in hp[idx] unless the slot already holds it. The
 // shadow is the owner's record of what the slot publishes, so a match
@@ -41,15 +46,16 @@ func (t *tlInfo) pub(idx int32, u uint64) bool {
 	return true
 }
 
-// noteElide counts one elided publication (single-writer counter, read
-// concurrently by Domain.Elisions).
-func (t *tlInfo) noteElide() { t.elides.Store(t.elides.Load() + 1) }
+// noteElide counts one elided publication (read concurrently by
+// Domain.Elisions).
+func (t *tlInfo) noteElide() { inc(&t.elides) }
 
 // Domain ties OrcGC to one arena of tracked objects: it owns the
 // PassThePointerOrcGC state (Algorithm 3/5/6) for that object type. All
 // objects of the domain are created with Make and reclaimed automatically
 // once they have no hard links, no protected local references, and no
-// global references.
+// global references. Hot paths write only the calling thread's tlInfo
+// (and maxHPs when an index above the watermark is claimed).
 type Domain[T any] struct {
 	arena      *arena.Arena[T]
 	links      ForEachLink[T]
@@ -57,9 +63,6 @@ type Domain[T any] struct {
 	capHPs     int32
 	maxHPs     atomic.Int64 // watermark over claimed hp indices (≥1: slot 0 is scratch)
 	tl         []*tlInfo
-
-	frees   atomic.Uint64
-	retires atomic.Uint64
 }
 
 // DomainConfig sizes a Domain.
@@ -104,9 +107,9 @@ func (d *Domain[T]) Get(h arena.Handle) *T { return d.arena.Get(h) }
 
 // Make is make_orc<T> (Algorithm 3 lines 31–36): allocate, initialize the
 // _orc word to ORC_ZERO, run the constructor, protect the object in the
-// scratch slot and bind it to p. The object has no hard links yet; it
-// stays alive through p's protection and is reclaimed automatically if
-// dropped without ever being linked.
+// scratch slot and bind it to p, marked fresh. The object has no hard
+// links yet; it stays alive through p's protection and is reclaimed by
+// clear if dropped without ever being linked.
 func (d *Domain[T]) Make(tid int, init func(*T), p *Ptr) arena.Handle {
 	h, obj := d.arena.AllocT(tid)
 	d.arena.HdrA(h).Store(orcZero)
@@ -114,7 +117,7 @@ func (d *Domain[T]) Make(tid int, init func(*T), p *Ptr) arena.Handle {
 		init(obj)
 	}
 	d.tl[tid].pub(0, uint64(h))
-	d.assign(tid, p, h, 0)
+	d.assign(tid, p, h, 0, true)
 	return h
 }
 
@@ -157,22 +160,25 @@ func (d *Domain[T]) usingIdx(tid int, idx int32) {
 	d.tl[tid].usedHaz[idx]++
 }
 
-// clear is Algorithm 5 lines 80–90: drop one use of an index and, when
+// clear is Algorithm 5 lines 80–90: drop one use of p's index and, when
 // the object loses its last local reference, check whether it became
-// unreachable (counter at ORC_ZERO) and retire it. Note the hazardous
-// pointer itself is deliberately *not* nulled — Proposition 1 needs the
-// object published while the BRETIRED CAS runs, and the stale publication
-// is overwritten on the index's next use (the paper accepts the
+// unreachable (counter at ORC_ZERO) and retire it. Only an object from
+// Make (p.fresh) is checked: any other reached ORC_ZERO through an
+// increment, decrement or clearBitRetired whose thread already tried
+// the BRETIRED CAS itself (DESIGN §4). Note the hazardous pointer
+// itself is deliberately *not* nulled — Proposition 1 needs the object
+// published while the BRETIRED CAS runs, and the stale publication is
+// overwritten on the index's next use (the paper accepts the
 // temporarily parked objects this can cause).
-func (d *Domain[T]) clear(tid int, h arena.Handle, idx int32, reuse bool) {
-	t := d.tl[tid]
+func (d *Domain[T]) clear(tid int, p *Ptr, reuse bool) {
+	t, h, idx := d.tl[tid], p.h, p.idx
 	if !reuse && idx != 0 {
 		t.usedHaz[idx]--
 		if t.usedHaz[idx] != 0 {
 			return
 		}
 	}
-	if h.IsNil() {
+	if !p.fresh || h.IsNil() {
 		return
 	}
 	h = h.Unmarked()
@@ -185,10 +191,14 @@ func (d *Domain[T]) clear(tid int, h arena.Handle, idx int32, reuse bool) {
 	}
 }
 
-// Stats reports the domain's reclamation counters; arena stats carry the
-// live/high-water memory numbers.
+// Stats reports the domain's reclamation counters, summed over the
+// threads; arena stats carry the live/high-water memory numbers.
 func (d *Domain[T]) Stats() (retires, frees uint64) {
-	return d.retires.Load(), d.frees.Load()
+	for _, t := range d.tl {
+		retires += t.retires.Load()
+		frees += t.frees.Load()
+	}
+	return retires, frees
 }
 
 // Elisions reports how many hazardous-pointer publications the domain's
@@ -203,7 +213,10 @@ func (d *Domain[T]) Elisions() uint64 {
 
 // FlushAll drains every thread's hazardous pointers and handover slots.
 // Quiescent use only (benchmark teardown, leak accounting in tests):
-// concurrent domain operations would race with it.
+// concurrent domain operations would race with it. It is also the one
+// caller that retires and frees under other threads' tids, writing
+// their single-writer counters; that is safe only because no owner is
+// running.
 //
 // Draining loops to a fixed point: deleting a parked object decrements
 // its children, and decrementOrc's Proposition-1 publication in hp[0]

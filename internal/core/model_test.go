@@ -8,12 +8,18 @@ import (
 )
 
 // TestReachabilityModel drives the domain with random sequences of
-// Make/Store/Load/CopyPtr/Release/chain-link operations against a
+// Make/Store/Load/CopyPtr/CAS/Release/chain-link operations against a
 // reference graph, then checks that after all local references die and
 // the matrix is flushed, the arena's live population is exactly the set
 // of nodes reachable from the surviving roots. This is the paper's
 // automatic-reclamation contract stated as one property: an object is
 // alive iff a root path or nothing — never more, never less.
+//
+// Ops 5–8 aim at clear's fresh-only ORC_ZERO check: never-linked Make
+// objects must still die through the Ptr that held them (directly, via
+// a CopyPtr that outlives the original, or after a failed CAS), and an
+// object loaded from a link and then unlinked under that Ptr must die
+// through the unlinking decrement.
 func TestReachabilityModel(t *testing.T) {
 	const (
 		numRoots = 6
@@ -38,7 +44,7 @@ func TestReachabilityModel(t *testing.T) {
 			var p Ptr
 			for op := 0; op < numOps; op++ {
 				r := rng.Intn(numRoots)
-				switch rng.Intn(5) {
+				switch rng.Intn(9) {
 				case 0: // fresh node into root r
 					id := nextID
 					nextID++
@@ -95,6 +101,37 @@ func TestReachabilityModel(t *testing.T) {
 					node := d.Get(a.H())
 					d.Store(0, &node.Next, arena.Nil)
 					model[rootModel[r]].next = 0
+					d.Release(0, &a)
+				case 5: // Make and drop without linking
+					d.Make(0, nil, &p)
+					d.Release(0, &p)
+				case 6: // Make, copy, release the original first
+					var q Ptr
+					h := d.Make(0, nil, &p)
+					d.CopyPtr(0, &q, &p)
+					d.Release(0, &p)
+					if !d.arena.Valid(h) {
+						t.Fatalf("seed %d: object freed while its copy holds it", seed)
+					}
+					d.Release(0, &q)
+				case 7: // Make, then a CAS that fails
+					// The fresh handle cannot be the root's current value.
+					h := d.Make(0, nil, &p)
+					if d.CAS(0, &roots[r], h, h) {
+						t.Fatalf("seed %d: CAS against a never-linked handle succeeded", seed)
+					}
+					d.Release(0, &p)
+				case 8: // Load a node, unlink it under that Ptr, release
+					if rootModel[r] == 0 {
+						continue
+					}
+					var a Ptr
+					d.Load(0, &roots[r], &a)
+					d.Store(0, &roots[r], arena.Nil)
+					if d.Get(a.H()).Val != uint64(rootModel[r]) {
+						t.Fatalf("seed %d: loaded node damaged after unlink", seed)
+					}
+					rootModel[r] = 0
 					d.Release(0, &a)
 				}
 			}

@@ -28,9 +28,15 @@ import (
 // A Ptr belongs to the goroutine (tid) that filled it and must be
 // Released by the same tid exactly once per fill chain; Release is
 // idempotent on an empty Ptr.
+//
+// fresh marks an object from Make (or a CopyPtr of such a Ptr), whose
+// counter may never have moved; only such an object needs the ORC_ZERO
+// check when its last local reference goes (see clear). It sits in the
+// padding after idx, so a Ptr stays 16 bytes.
 type Ptr struct {
-	h   arena.Handle
-	idx int32 // 0 = unattached (no claimed index); valid indices are ≥ 1
+	h     arena.Handle
+	idx   int32 // 0 = unattached (no claimed index); valid indices are ≥ 1
+	fresh bool
 }
 
 // H returns the handle held by p (tag bits preserved).
@@ -46,7 +52,7 @@ func (p *Ptr) IsNil() bool { return p.h.IsNil() }
 func (p *Ptr) Unmark() { p.h = p.h.Unmarked() }
 
 // assign implements the orc_ptr assignment operator (Algorithm 7 lines
-// 182–194) of `*p = other`, where other is (h, srcIdx). The rule keeps
+// 182–194) of `*p = other`, where other is (h, srcIdx, fresh). The rule keeps
 // protections moving only toward higher indices — the same direction the
 // retire scan walks — so a protection can never hop behind the scanner:
 //
@@ -56,7 +62,7 @@ func (p *Ptr) Unmark() { p.h = p.h.Unmarked() }
 //     above other's, and publish there while other's slot still covers
 //     the object.
 //   - other sits at a higher index: share it (bump usedHaz).
-func (d *Domain[T]) assign(tid int, p *Ptr, h arena.Handle, srcIdx int32) {
+func (d *Domain[T]) assign(tid int, p *Ptr, h arena.Handle, srcIdx int32, fresh bool) {
 	t := d.tl[tid]
 	if p.idx == 0 {
 		// Unattached Ptr: first fill.
@@ -72,12 +78,12 @@ func (d *Domain[T]) assign(tid int, p *Ptr, h arena.Handle, srcIdx int32) {
 			d.usingIdx(tid, srcIdx)
 			p.idx = srcIdx
 		}
-		p.h = h
+		p.h, p.fresh = h, fresh
 		return
 	}
 	if srcIdx < p.idx {
 		reuse := t.usedHaz[p.idx] == 1
-		d.clear(tid, p.h, p.idx, reuse)
+		d.clear(tid, p, reuse)
 		if !reuse {
 			p.idx = d.getNewIdx(tid, srcIdx+1)
 		}
@@ -89,19 +95,20 @@ func (d *Domain[T]) assign(tid int, p *Ptr, h arena.Handle, srcIdx int32) {
 			rt.Step(rt.SiteProtect, tid)
 		}
 	} else {
-		d.clear(tid, p.h, p.idx, false)
+		d.clear(tid, p, false)
 		d.usingIdx(tid, srcIdx)
 		p.idx = srcIdx
 	}
-	p.h = h
+	p.h, p.fresh = h, fresh
 }
 
 // CopyPtr is `*dst = *src` between two named orc_ptrs.
 func (d *Domain[T]) CopyPtr(tid int, dst, src *Ptr) {
-	d.assign(tid, dst, src.h, src.idx)
+	d.assign(tid, dst, src.h, src.idx, src.fresh)
 }
 
-// SwapPtr exchanges the (handle, index) pairs of two Ptrs of thread tid.
+// SwapPtr exchanges the whole state (handle, index, fresh) of two Ptrs
+// of thread tid.
 // No slot is written and no usedHaz count changes: each object stays
 // published exactly where it was, only the Ptr naming the slot differs.
 // Traversals rotate prev/cur/next with it instead of CopyPtr so every
@@ -115,29 +122,18 @@ func (d *Domain[T]) SwapPtr(tid int, a, b *Ptr) {
 // (from LoadScratch or Exchange) to p. h must be the value those calls
 // returned, with the scratch protection still intact.
 func (d *Domain[T]) AdoptScratch(tid int, p *Ptr, h arena.Handle) {
-	d.assign(tid, p, h, 0)
+	d.assign(tid, p, h, 0, false)
 }
 
 // SetNil empties p, dropping its protection (assigning nullptr).
 func (d *Domain[T]) SetNil(tid int, p *Ptr) {
-	if p.idx == 0 {
-		p.h = arena.Nil
-		return
+	if p.idx != 0 {
+		d.clear(tid, p, false)
 	}
-	d.clear(tid, p.h, p.idx, false)
-	p.h = arena.Nil
-	p.idx = 0
+	*p = Ptr{}
 }
 
 // Release is the orc_ptr destructor (Algorithm 7 line 169): drop the
-// local reference; if the object has no hard links and this was its last
-// protection use of the index, it is retired.
-func (d *Domain[T]) Release(tid int, p *Ptr) {
-	if p.idx == 0 {
-		p.h = arena.Nil
-		return
-	}
-	d.clear(tid, p.h, p.idx, false)
-	p.h = arena.Nil
-	p.idx = 0
-}
+// local reference; if the object came from Make, has no hard links and
+// this was its last protection use of the index, it is retired.
+func (d *Domain[T]) Release(tid int, p *Ptr) { d.SetNil(tid, p) }

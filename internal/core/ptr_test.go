@@ -270,6 +270,59 @@ func TestSharedIdxNotReusedOnAssign(t *testing.T) {
 	d.FlushAll()
 }
 
+// TestFreshFlagTransitions pins which fills mark a Ptr fresh (its object
+// may never have been linked, so clear must check its counter): Make
+// sets it, CopyPtr and SwapPtr carry it, and Load, AdoptScratch and
+// Release clear it.
+func TestFreshFlagTransitions(t *testing.T) {
+	d := newTestDomain(1)
+	var root Atomic
+	var p, q, r Ptr
+	h := d.Make(0, nil, &p)
+	if !p.fresh {
+		t.Fatal("Make did not mark the Ptr fresh")
+	}
+	d.CopyPtr(0, &q, &p)
+	if !q.fresh {
+		t.Fatal("CopyPtr of a fresh Ptr lost the flag")
+	}
+	d.Store(0, &root, h)
+	d.Load(0, &root, &r)
+	if r.fresh {
+		t.Fatal("Load left the Ptr fresh")
+	}
+	d.SwapPtr(0, &q, &r)
+	if q.fresh || !r.fresh {
+		t.Fatal("SwapPtr did not carry the flag")
+	}
+	d.CopyPtr(0, &r, &q) // a non-fresh source overwrites a fresh dst
+	if r.fresh {
+		t.Fatal("CopyPtr of a non-fresh Ptr left dst fresh")
+	}
+	d.Load(0, &root, &p) // sole-user Load path
+	if p.fresh {
+		t.Fatal("sole-user Load left the Ptr fresh")
+	}
+	d.Make(0, nil, &p)
+	hs := d.LoadScratch(0, &root)
+	d.AdoptScratch(0, &p, hs)
+	if p.fresh {
+		t.Fatal("AdoptScratch left the Ptr fresh")
+	}
+	d.Make(0, nil, &q)
+	d.Release(0, &q)
+	if q.fresh || q.idx != 0 || !q.IsNil() {
+		t.Fatal("Release did not reset the Ptr")
+	}
+	d.Release(0, &p)
+	d.Release(0, &r)
+	d.Store(0, &root, arena.Nil)
+	d.FlushAll()
+	if live := d.arena.Stats().Live; live != 0 {
+		t.Fatalf("leak: %d", live)
+	}
+}
+
 func TestSetNilDropsProtection(t *testing.T) {
 	d := newTestDomain(1)
 	var p Ptr

@@ -18,7 +18,7 @@ import (
 func (d *Domain[T]) retire(tid int, h arena.Handle) {
 	t := d.tl[tid]
 	rt.Step(rt.SiteRetire, tid)
-	d.retires.Add(1)
+	inc(&t.retires)
 	if t.retireStarted {
 		t.recursive = append(t.recursive, h)
 		return
@@ -111,5 +111,5 @@ func (d *Domain[T]) deleteObj(tid int, h arena.Handle) {
 	}
 	rt.Step(rt.SiteReclaim, tid)
 	d.arena.FreeT(tid, h)
-	d.frees.Add(1)
+	inc(&d.tl[tid].frees)
 }

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -80,6 +81,7 @@ func RunScanScheme(scheme string, cfg Config) *Verdict {
 
 	hashes := make([]uint64, cfg.Threads)
 	var wg sync.WaitGroup
+	var stalledDone atomic.Int32
 	for w := 0; w < cfg.Threads; w++ {
 		wg.Add(1)
 		go func(tid int) {
@@ -116,7 +118,18 @@ func RunScanScheme(scheme string, cfg Config) *Verdict {
 				in.opsDone.Add(1)
 			}
 			hashes[tid] = h
-			in.stallOff.Store(true) // first finisher releases parked readers
+			// First finisher releases parked readers, but not before a
+			// stalled tid has parked once or finished: the Gosched
+			// perturbation can starve a reader for a whole run of a
+			// writer, which would otherwise leave it nowhere to park.
+			if tid >= cfg.Stalls {
+				for in.stalls.Load() == 0 && stalledDone.Load() < int32(cfg.Stalls) {
+					runtime.Gosched()
+				}
+			} else {
+				stalledDone.Add(1)
+			}
+			in.stallOff.Store(true)
 		}(w)
 	}
 	wg.Wait()
