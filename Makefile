@@ -6,11 +6,11 @@ GO ?= go
 # lock-free metrics registry all of them report into.
 RACE_PKGS = ./internal/arena/ ./internal/core/ ./internal/reclaim/ ./internal/kvstore/ ./internal/cluster/ ./internal/obs/ ./internal/torture/
 
-.PHONY: check vet orcvet build test race cluster-guards bench-alloc bench-scan serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke bench-kv bench-cluster bench-cluster-short profile-cluster clean
+.PHONY: check vet orcvet build test race race-peek cluster-guards bench-alloc bench-scan serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke bench-kv bench-cluster bench-cluster-short profile-cluster clean
 
 BIN = bin
 
-check: vet orcvet build test race cluster-guards torture-orc torture-kv
+check: vet orcvet build test race race-peek cluster-guards torture-orc torture-kv
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,15 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
+
+# The speculative-read tests of the OrcGC Michael list and hash map under
+# the race detector: a deterministic recycled-slot walk plus semantic
+# stress (stable keys always found, absent keys never, a single-writer
+# value never read going backwards) while writers recycle the nodes the
+# readers walk. Only these tests: a full -race run of ds/list takes
+# minutes, too slow for RACE_PKGS.
+race-peek:
+	$(GO) test -race -count=1 -run '^TestPeek' ./internal/ds/list/ ./internal/ds/hashmap/
 
 # The proxy fast-path regression guards, run without the race detector
 # so the AllocsPerRun assertion measures the real path (race

@@ -29,7 +29,8 @@ type callRole int
 const (
 	roleNone callRole = iota
 
-	// Dereference of a handle: arena Get/TryGet/Header/HdrA, Domain.Get.
+	// Dereference of a handle: arena Get/Header/HdrA, Domain.Get (arena
+	// TryGet and Domain.Peek, the speculative reads, are exempt).
 	roleDeref
 
 	// Protection sources. roleProtectArg protects an argument handle in
@@ -47,7 +48,8 @@ const (
 	roleAlloc
 
 	// Raw shared load: returns a handle nothing protects
-	// (core.Atomic.Raw; atomic.Uint64.Load is caught at the conversion).
+	// (core.Atomic.Raw and Atomic.Peek; atomic.Uint64.Load is caught at
+	// the conversion).
 	roleRawLoad
 
 	// Protection drops.
@@ -207,6 +209,14 @@ func (m *model) roleOf(f *types.Func) callRole {
 			return rolePtrDrop
 		case "Raw":
 			return roleRawLoad
+		case "Peek":
+			// Atomic.Peek is Raw as a plain load: what it returns is
+			// protected by nothing. Domain.Peek is TryGet: the
+			// speculative read, exempt like it.
+			if sig != nil && sig.Params().Len() == 0 {
+				return roleRawLoad
+			}
+			return roleNone
 		case "CAS":
 			return roleCAS
 		case "H":

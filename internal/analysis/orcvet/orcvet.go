@@ -6,15 +6,15 @@
 //
 //	protect  (protect-before-deref): every dereference of an
 //	         arena.Handle — arena.Get/Header/HdrA, Domain.Get; TryGet
-//	         is exempt as the generation-validated speculative read —
-//	         must be dominated by a successful protection of the same
-//	         value (Scheme.GetProtected/Protect, Domain.Load/
-//	         LoadScratch/Make/Exchange, a live core.Ptr), or the value
-//	         must be a structure root (receiver field) or a fresh
-//	         unpublished allocation. Dereferencing a raw shared load
-//	         (arena.Handle(x.Load()), Atomic.Raw()) or a handle whose
-//	         protection was dropped (Clear/ClearAll/Release) is
-//	         reported.
+//	         and Domain.Peek are exempt as the generation-validated
+//	         speculative read — must be dominated by a successful
+//	         protection of the same value (Scheme.GetProtected/Protect,
+//	         Domain.Load/LoadScratch/Make/Exchange, a live core.Ptr), or
+//	         the value must be a structure root (receiver field) or a
+//	         fresh unpublished allocation. Dereferencing a raw shared
+//	         load (arena.Handle(x.Load()), Atomic.Raw(), Atomic.Peek())
+//	         or a handle whose protection was dropped
+//	         (Clear/ClearAll/Release) is reported.
 //
 //	escape   (no-escape-past-release): a raw node pointer (*T obtained
 //	         from a deref) or a core.Ptr must not outlive the
@@ -71,7 +71,7 @@ import (
 
 // Version is reported through the vettool -V protocol; bump when rule
 // semantics change so the go command's action cache re-runs the pass.
-const Version = "v0.4.0"
+const Version = "v0.5.0"
 
 // Rule names, as they appear in diagnostics and ignore pragmas.
 const (

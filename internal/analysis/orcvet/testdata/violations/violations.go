@@ -110,6 +110,49 @@ func (l *VList) DerefAfterSwapRelease(tid int, at *core.Atomic) uint64 {
 	return l.d.Get(p.H()).key // want:protect
 }
 
+// DerefPeekedLink dereferences a plainly peeked link: Atomic.Peek is a
+// raw load like Raw, so only Domain.Peek may touch what it returns.
+func (l *VList) DerefPeekedLink(at *core.Atomic) uint64 {
+	return l.d.Get(at.Peek()).key // want:protect
+}
+
+// DerefPeekedNext validates a speculatively read node, then follows its
+// link with Get: the validation covers the node's fields, not the
+// successor they name.
+func (l *VList) DerefPeekedNext(at *core.Atomic) uint64 {
+	h := at.Peek()
+	n, ok := l.d.Peek(h)
+	if !ok {
+		return 0
+	}
+	next := n.link.Peek()
+	if !l.d.Unchanged(h) {
+		return 0
+	}
+	return l.d.Get(next.Unmarked()).key // want:protect
+}
+
+// PeekWalk is the sanctioned speculative walk: Domain.Peek each node,
+// read its fields with plain loads, keep them only once Unchanged
+// validates, and hand the next link back to Domain.Peek.
+func (l *VList) PeekWalk(at *core.Atomic, key uint64) (found, ok bool) {
+	for h := at.Peek(); !h.IsNil(); {
+		n, live := l.d.Peek(h)
+		if !live {
+			return false, false
+		}
+		k, next := n.key, n.link.Peek()
+		if !l.d.Unchanged(h) {
+			return false, false
+		}
+		if k >= key {
+			return k == key && !next.Marked(), true
+		}
+		h = next.Unmarked()
+	}
+	return false, true
+}
+
 // deref is a package-local helper; its summary marks parameter h as
 // requiring protection, extending the obligation to callers.
 func (l *VList) deref(h arena.Handle) uint64 {

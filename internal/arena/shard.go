@@ -221,14 +221,20 @@ func (a *Arena[T]) finishAlloc(idx uint32) (Handle, *T) {
 	return Pack(idx, g), &s.Val
 }
 
-// finishFree validates h, poisons the payload and bumps the generation to
-// even — freeing the slot and invalidating every outstanding handle in
-// one store — returning the now-ownerless index. The caller decides which
-// free pool receives it. The bump runs on the raw full-width counter (the
-// handle only knows the masked value, so the raw counter is reloaded from
-// the slot); when the masked value would land on 0 — the virgin sentinel
-// — the bump skips ahead by 2, keeping parity even and reserving masked 0
-// for slots that were never allocated.
+// finishFree validates h, bumps the generation to even — freeing the slot
+// and invalidating every outstanding handle in one store — and only then
+// poisons the payload, returning the now-ownerless index. The caller
+// decides which free pool receives it. The bump runs on the raw
+// full-width counter (the handle only knows the masked value, so the raw
+// counter is reloaded from the slot); when the masked value would land on
+// 0 — the virgin sentinel — the bump skips ahead by 2, keeping parity
+// even and reserving masked 0 for slots that were never allocated.
+//
+// Bump before poison is what makes read-then-validate sound: a slot's
+// payload changes only while its generation is even (here and in
+// finishAlloc) or before its handle is published (the owner's
+// initialization), so a reader that reads fields through TryGet and then
+// finds the generation unchanged read the live object, never the husk.
 func (a *Arena[T]) finishFree(h Handle) uint32 {
 	h = h.Unmarked()
 	if h.IsNil() {
@@ -243,13 +249,13 @@ func (a *Arena[T]) finishFree(h Handle) uint32 {
 	if h.Gen()&1 == 0 || g&genValMask != h.Gen() {
 		panic(fmt.Sprintf("arena: double free or stale free of %v", h))
 	}
-	var zero T
-	s.Val = zero // poison: stale readers see a zeroed husk
 	g++
 	if g&genValMask == 0 {
 		g += 2 // skip the virgin value; parity stays even
 	}
 	s.gen.Store(g)
+	var zero T
+	s.Val = zero // poison: stale readers see a zeroed husk
 	rt.Step(rt.SiteFree, -1)
 	return idx
 }

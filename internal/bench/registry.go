@@ -45,7 +45,7 @@ func orcAdmin[T any](d *core.Domain[T]) Admin {
 			return reclaim.Stats{Retired: r, Freed: f, RetiredNotFreed: int64(r) - int64(f)}
 		},
 		ScanStats: func() reclaim.ScanStats {
-			return reclaim.ScanStats{Elisions: d.Elisions()}
+			return reclaim.ScanStats{Elisions: d.Elisions(), PeekFails: d.PeekFailures()}
 		},
 		QuiesceFn:   d.FlushAll,
 		Reclaims:    true,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/arena"
 	"repro/internal/rt"
@@ -19,6 +20,24 @@ type Atomic struct {
 // tag-bit inspection or comparison against already-protected handles,
 // never for dereferencing.
 func (a *Atomic) Raw() arena.Handle { return arena.Handle(a.v.Load()) }
+
+// Peek is Raw for a speculative walk: a plain load of a link inside a
+// node the caller holds no protection for. Like Raw, the result is never
+// dereferenced directly; it is the next handle to Domain.Peek, and it
+// counts only once the containing node passes Domain.Unchanged.
+//
+//go:norace
+func (a *Atomic) Peek() arena.Handle { return arena.Handle(PeekWord(&a.v)) }
+
+// PeekWord is the plain load behind Atomic.Peek, for a payload word of a
+// node read speculatively. It is a plain load on purpose: the arena
+// poisons a freed slot with plain stores, and the race detector reports
+// a sync/atomic load against them even from a //go:norace function. The
+// value means something only once the node's generation validates
+// (DESIGN §4, "Read-only operations validate instead of publish").
+//
+//go:norace
+func PeekWord(w *atomic.Uint64) uint64 { return *(*uint64)(unsafe.Pointer(w)) }
 
 // incrementOrc is Algorithm 4 lines 38–43. Precondition (Proposition 1):
 // the caller already holds h published in some hazardous pointer (it came

@@ -24,7 +24,7 @@ type tlInfo struct {
 	retireStarted bool
 	recursive     []arena.Handle
 	// Single-writer counters, bumped with inc and summed by readers.
-	elides, retires, frees atomic.Uint64
+	elides, retires, frees, peekFails atomic.Uint64
 }
 
 // inc bumps a counter only its owning thread writes: a plain load and
@@ -104,6 +104,39 @@ func (d *Domain[T]) Arena() *arena.Arena[T] { return d.arena }
 
 // Get dereferences a protected handle.
 func (d *Domain[T]) Get(h arena.Handle) *T { return d.arena.Get(h) }
+
+// PeekAttempts is how many speculative walks a read-only operation tries
+// before it falls back to its protected traversal; the fallback is what
+// keeps the operation lock-free when writers keep recycling its nodes.
+const PeekAttempts = 2
+
+// Peek is the speculative read of a read-only operation (arena.TryGet):
+// it dereferences h without any protection, reporting instead of
+// faulting when h is already stale. Fields read through the result are
+// worth nothing until Unchanged(h) confirms the object was not freed
+// meanwhile; read them with plain loads (Atomic.Peek, PeekWord) from a
+// //go:norace function. DESIGN §4 has the argument.
+func (d *Domain[T]) Peek(h arena.Handle) (*T, bool) { return d.arena.TryGet(h) }
+
+// Unchanged reports whether h still names a live object (arena.Valid):
+// the validation that closes a speculative read. The arena bumps a
+// slot's generation before it poisons the payload, so a true result
+// means every field read since Peek(h) came from h's own lifetime.
+func (d *Domain[T]) Unchanged(h arena.Handle) bool { return d.arena.Valid(h) }
+
+// PeekFailed records one speculative walk of thread tid that failed
+// validation and was abandoned; only the failure path calls it.
+func (d *Domain[T]) PeekFailed(tid int) { inc(&d.tl[tid].peekFails) }
+
+// PeekFailures reports how many speculative walks failed validation,
+// summed over the threads.
+func (d *Domain[T]) PeekFailures() uint64 {
+	var n uint64
+	for _, t := range d.tl {
+		n += t.peekFails.Load()
+	}
+	return n
+}
 
 // Make is make_orc<T> (Algorithm 3 lines 31–36): allocate, initialize the
 // _orc word to ORC_ZERO, run the constructor, protect the object in the

@@ -17,12 +17,14 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/rt"
 )
 
 // Node is a bucket-list node. val is a plain payload word (not a link:
 // it never references another tracked object, so it stays outside
 // nodeLinks). It is written only while the node is protected, so reads
-// through a protected handle are always safe.
+// through a protected handle are always safe; the speculative Get reads
+// it with core.PeekWord and trusts it only once the node validates.
 type Node struct {
 	key  uint64
 	val  atomic.Uint64
@@ -159,10 +161,49 @@ func (m *OrcMap) Remove(tid int, key uint64) bool {
 	}
 }
 
-// Get returns the value stored under key.
+// peekFind is the read side of find as a speculative walk that publishes
+// nothing and never unlinks: for each node it reads key, then val, then
+// next, and only then validates the node's generation. ok is false when
+// a validation failed; otherwise found answers the query and val is the
+// value when found. The value is read before the mark, so a node whose
+// next was still unmarked at the later read was in the bucket when its
+// value was read (DESIGN §4).
+//
+//go:norace
+func (m *OrcMap) peekFind(tid int, root *core.Atomic, key uint64) (val uint64, found, ok bool) {
+	d := m.d
+	for h := root.Raw(); !h.IsNil(); {
+		n, live := d.Peek(h)
+		if !live {
+			return 0, false, false
+		}
+		k := n.key
+		v := core.PeekWord(&n.val)
+		next := n.next.Peek()
+		rt.Step(rt.SitePeek, tid)
+		if !d.Unchanged(h) {
+			return 0, false, false
+		}
+		if k >= key {
+			return v, k == key && !next.Marked(), true
+		}
+		h = next.Unmarked()
+	}
+	return 0, false, true
+}
+
+// Get returns the value stored under key. It first tries speculative
+// walks, which publish nothing; after core.PeekAttempts failed
+// validations it falls back to the protected find.
 func (m *OrcMap) Get(tid int, key uint64) (uint64, bool) {
 	d := m.d
 	root := &m.buckets[bucketOf(key, len(m.buckets))]
+	for i := 0; i < core.PeekAttempts; i++ {
+		if v, found, ok := m.peekFind(tid, root, key); ok {
+			return v, found
+		}
+		d.PeekFailed(tid)
+	}
 	var prev, cur, next core.Ptr
 	defer func() {
 		d.Release(tid, &prev)
@@ -229,14 +270,8 @@ func (m *OrcMap) Keys(emit func(key uint64)) {
 	}
 }
 
-// Contains reports membership.
+// Contains reports membership: Get without the value.
 func (m *OrcMap) Contains(tid int, key uint64) bool {
-	d := m.d
-	root := &m.buckets[bucketOf(key, len(m.buckets))]
-	var prev, cur, next core.Ptr
-	_, found := m.find(tid, root, key, &prev, &cur, &next)
-	d.Release(tid, &prev)
-	d.Release(tid, &cur)
-	d.Release(tid, &next)
+	_, found := m.Get(tid, key)
 	return found
 }

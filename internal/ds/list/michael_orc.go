@@ -3,6 +3,7 @@ package list
 import (
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/rt"
 )
 
 // ONode is the node type shared by all OrcGC-annotated lists: one key,
@@ -155,9 +156,45 @@ func (l *MichaelOrc) Remove(tid int, key uint64) bool {
 	}
 }
 
-// Contains reports membership.
+// peekContains is Contains as a speculative walk that publishes nothing
+// and never unlinks: for each node it reads key then next, and only then
+// validates the node's generation. ok is false when a validation failed;
+// otherwise found answers the query: a node holding key whose next was
+// unmarked when read was in the list at that moment (DESIGN §4).
+//
+//go:norace
+func (l *MichaelOrc) peekContains(tid int, key uint64) (found, ok bool) {
+	d := l.d
+	h := l.headH
+	for {
+		n, live := d.Peek(h)
+		if !live {
+			return false, false
+		}
+		k := n.key
+		next := n.next.Peek()
+		rt.Step(rt.SitePeek, tid)
+		if !d.Unchanged(h) {
+			return false, false
+		}
+		if k >= key {
+			return k == key && !next.Marked(), true
+		}
+		h = next.Unmarked()
+	}
+}
+
+// Contains reports membership. It first tries speculative walks, which
+// publish nothing; after core.PeekAttempts failed validations it falls
+// back to the protected find.
 func (l *MichaelOrc) Contains(tid int, key uint64) bool {
 	d := l.d
+	for i := 0; i < core.PeekAttempts; i++ {
+		if found, ok := l.peekContains(tid, key); ok {
+			return found
+		}
+		d.PeekFailed(tid)
+	}
 	var prev, cur, next core.Ptr
 	_, found := l.find(tid, key, &prev, &cur, &next)
 	d.Release(tid, &prev)

@@ -70,6 +70,7 @@ type ScanStats struct {
 	Freed            uint64 `json:"freed"`               // objects freed by scans
 	ScanNs           int64  `json:"scan_ns"`             // total time inside scans
 	Elisions         uint64 `json:"elisions"`            // protection publishes elided
+	PeekFails        uint64 `json:"peek_fails"`          // speculative reads that failed validation (OrcGC)
 	Threshold        int    `json:"threshold"`           // current (max across threads)
 	MinThreshold     int    `json:"min_threshold"`       // clamp floor
 	MaxThreshold     int    `json:"max_threshold"`       // clamp ceiling

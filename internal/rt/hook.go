@@ -6,8 +6,8 @@ import "sync/atomic"
 // schemes and the OrcGC core call Step at the few places where an
 // adversarial scheduler can do the most damage: right after a
 // protection loop stabilizes (a reader parked here holds a pinned
-// reference), on the retire and free paths, and around the allocator's
-// slot transitions. internal/torture installs a hook that turns these
+// reference), inside a speculative read's validation window, on the
+// retire and free paths, and around the allocator's slot transitions. internal/torture installs a hook that turns these
 // call sites into forced runtime.Gosched perturbation points and
 // stall gates; with no hook installed the cost is a single atomic bool
 // load and an untaken branch, so the hot paths stay uninstrumented in
@@ -32,6 +32,11 @@ const (
 	// SiteFree fires inside the arena's free path, after the generation
 	// bump invalidated outstanding handles.
 	SiteFree
+	// SitePeek fires inside a speculative (publish-free) read, between
+	// reading a node's fields and validating its generation: a reader
+	// held here has no protection, so writers may free and recycle the
+	// node under it and the validation must catch that.
+	SitePeek
 
 	// NumSites is the number of distinct injection sites.
 	NumSites

@@ -111,10 +111,10 @@ func (v *Verdict) String() string {
 	if !v.Passed() {
 		status = "FAIL"
 	}
-	line := fmt.Sprintf("%s %-12s %-5s ops=%-7d hash=%016x live=%d base=%d faults=%d retired=%d freed=%d pending=%d stalls=%d perturbs=%d elide=%d",
+	line := fmt.Sprintf("%s %-12s %-5s ops=%-7d hash=%016x live=%d base=%d faults=%d retired=%d freed=%d pending=%d stalls=%d perturbs=%d elide=%d peekfail=%d",
 		status, v.Subject, v.Kind, v.Ops, v.ScheduleHash, v.Arena.Live, v.Baseline,
 		v.Arena.Faults, v.Scheme.Retired, v.Scheme.Freed, v.Scheme.RetiredNotFreed,
-		v.StallsTaken, v.Perturbs, v.Scan.Elisions)
+		v.StallsTaken, v.Perturbs, v.Scan.Elisions, v.Scan.PeekFails)
 	if v.Cluster != nil {
 		if _, ok := v.Cluster["shed_total"]; ok {
 			line += fmt.Sprintf(" shed=%d expired=%d completed=%d maxbacklog=%d",
@@ -173,8 +173,8 @@ func fnv1a(h uint64, words ...uint64) uint64 {
 }
 
 // injector owns the rt hook for one run: scheduler perturbation at every
-// injection point, plus reader stalls parked inside the protection loop
-// of designated tids. The park spins until StallHold further ops have
+// injection point, plus reader stalls parked inside the protection loop,
+// or inside a speculative read's validation window, of designated tids. The park spins until StallHold further ops have
 // completed globally (holding the published protection the whole time)
 // or the run winds down.
 type injector struct {
@@ -192,11 +192,15 @@ func newInjector(cfg Config) *injector {
 }
 
 func (in *injector) hook(site rt.Site, tid int) {
-	if site == rt.SiteProtect && tid >= 0 && tid < in.cfg.Stalls && !in.stallOff.Load() {
+	if (site == rt.SiteProtect || site == rt.SitePeek) && tid >= 0 && tid < in.cfg.Stalls && !in.stallOff.Load() {
 		if in.protects[tid].Add(1)%in.cfg.StallEvery == 0 {
-			// Park here: the caller's hazard pointer / era / orc scratch
-			// slot is published and validated, so the object it protects
-			// must survive everything retired meanwhile.
+			// Park here. At SiteProtect the caller's hazard pointer /
+			// era / orc scratch slot is published and validated, so the
+			// object it protects must survive everything retired
+			// meanwhile. At SitePeek the caller holds nothing: it has
+			// read a node's fields and not yet validated them, so the
+			// node may be freed and recycled under it, and the
+			// validation must reject what it read.
 			in.stalls.Add(1)
 			target := in.opsDone.Load() + in.cfg.StallHold
 			for spins := 0; in.opsDone.Load() < target && !in.stallOff.Load(); spins++ {

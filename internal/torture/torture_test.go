@@ -54,6 +54,30 @@ func TestStallsTaken(t *testing.T) {
 	}
 }
 
+// TestPeekStallsFailValidation checks that stalled readers park inside
+// the speculative Contains walk's validation window (rt.SitePeek) and
+// that writers recycle nodes under them: an OrcGC list run must record
+// failed validations and still pass every verdict.
+func TestPeekStallsFailValidation(t *testing.T) {
+	var fails uint64
+	for seed := uint64(1); seed <= 4 && fails == 0; seed++ {
+		cfg := smokeCfg(seed)
+		// A park every 61 steps, longer than one op's walk, lands in a
+		// random op rather than again in the op it just left; a short
+		// hold over a small keyspace gives many parks, each likely to
+		// outlive its node.
+		cfg.Stalls, cfg.StallEvery, cfg.StallHold, cfg.Keys = 2, 61, 200, 64
+		v := RunSet("michael-orc", cfg)
+		if !v.Passed() {
+			t.Fatalf("michael-orc seed=%d: %v", seed, v.Failures)
+		}
+		fails += v.Scan.PeekFails
+	}
+	if fails == 0 {
+		t.Error("no speculative walk failed validation over seeds 1-4 (is rt.SitePeek still inside the window?)")
+	}
+}
+
 // TestSmokeRepresentatives runs one subject per scheme family so the CI
 // smoke exercises every reclamation path without the full 49-subject
 // sweep. cmd/orctorture -subjects all covers the rest.
