@@ -85,7 +85,8 @@ smoke:
 
 # Observability smoke: serve with -metrics, put load through, scrape
 # /metrics (text and JSON) and assert the per-scheme reclamation gauges
-# and op counters are present, then SIGINT and require a clean drain.
+# (a point shard's and the store's one scan index, labelled "skip") and
+# op counters are present, then SIGINT and require a clean drain.
 metrics-smoke:
 	$(GO) build -o bin/kvserver ./cmd/kvserver
 	$(GO) build -o bin/kvload ./cmd/kvload
@@ -98,7 +99,7 @@ metrics-smoke:
 	for key in 'reclaim/shard0/map/retired' 'reclaim/shard0/map/freed' \
 	           'reclaim/shard0/map/retire_depth' 'reclaim/shard0/map/elisions' \
 	           'reclaim/shard0/map/scan_freed_ratio_bp' 'reclaim/shard0/map/scan_threshold' \
-	           'kv/arena/live' \
+	           'reclaim/skip/retired' 'kv/arena/live' \
 	           'kv/arena/occupancy_bp' 'kv/server/ops/get' \
 	           'kv/server/lat/get_ns' 'sampled/backlog'; do \
 	  grep -q "$$key" /tmp/metrics.txt || { echo "metrics-smoke: missing $$key"; kill $$pid; exit 1; }; \

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // peekKey is a speculative reader's read-then-validate: it reads Key
@@ -37,7 +38,7 @@ func TestPeekValidationRejectsPoison(t *testing.T) {
 	const cycles = 100_000
 	a := New[node](WithShards(1))
 	var cur atomic.Uint64
-	var done atomic.Bool
+	var done, validated atomic.Bool
 	var accepted, poisoned atomic.Uint64
 	finished := make(chan struct{})
 	go func() {
@@ -45,7 +46,9 @@ func TestPeekValidationRejectsPoison(t *testing.T) {
 		var ok, bad uint64
 		for !done.Load() {
 			if k, valid := peekKey(a, Handle(cur.Load())); valid {
-				ok++
+				if ok++; ok == 1 {
+					validated.Store(true)
+				}
 				if k != key {
 					bad++
 				}
@@ -54,7 +57,11 @@ func TestPeekValidationRejectsPoison(t *testing.T) {
 		accepted.Store(ok)
 		poisoned.Store(bad)
 	}()
-	for i := 0; i < cycles; i++ {
+	// Past the fixed cycles, keep going until the reader has validated
+	// once: on a loaded host its thread may not run during the first
+	// 100 000 cycles at all.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < cycles || !validated.Load() && time.Now().Before(deadline); i++ {
 		h, p := a.AllocT(0) // the LIFO magazine hands back the same slot
 		p.Key = key
 		cur.Store(uint64(h))

@@ -68,7 +68,7 @@ func (d *Domain[T]) decrementOrc(tid int, h arena.Handle) {
 		return
 	}
 	h = h.Unmarked()
-	if t := d.tl[tid]; !t.pub(0, uint64(h)) {
+	if t := d.tl[tid]; !d.pub(t, 0, uint64(h)) {
 		// Proposition 1 is satisfied by the existing publication: the
 		// scratch slot has held h since an earlier seq-cst store.
 		t.noteElide()
@@ -189,6 +189,9 @@ func (d *Domain[T]) getProtected(tid int, idx int32, a *Atomic) arena.Handle {
 			// elided path the publication predates this call entirely.
 			rt.Step(rt.SiteProtect, tid)
 			return v
+		}
+		if !t.joined {
+			d.join(t)
 		}
 		if swap {
 			t.hp[idx].Swap(u)

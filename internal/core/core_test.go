@@ -477,6 +477,44 @@ func TestHandoverOnRelease(t *testing.T) {
 	}
 }
 
+// TestHandoverPastTidWatermark: retire scans stop at the tid watermark,
+// so a high tid's first publication must raise it. Tid 40 protects X;
+// tid 0 unlinks X, which parks on tid 0's own scratch slot, then unlinks
+// Y, which moves X off that slot and rescans: X must land in tid 40's
+// handover slot rather than be freed.
+func TestHandoverPastTidWatermark(t *testing.T) {
+	const hi = 40
+	d := newTestDomain(64)
+	var root Atomic
+	var p, lp Ptr
+	x := d.Make(0, nil, &p)
+	d.Store(0, &root, x)
+	d.Release(0, &p)
+	if d.Threads() != 1 {
+		t.Fatalf("watermark %d after tid 0 alone, want 1", d.Threads())
+	}
+	d.Load(hi, &root, &lp)
+	if d.Threads() != hi+1 {
+		t.Fatalf("watermark %d after tid %d published, want %d", d.Threads(), hi, hi+1)
+	}
+	d.Store(0, &root, arena.Nil)
+	y := d.Make(0, nil, &p)
+	d.Store(0, &root, y)
+	d.Release(0, &p)
+	d.Store(0, &root, arena.Nil)
+	if !d.arena.Valid(x) {
+		t.Fatalf("freed while protected by tid %d", hi)
+	}
+	if got := arena.Handle(d.tl[hi].handovers[lp.idx].Load()); got != x {
+		t.Fatalf("tid %d's handover slot holds %v, want %v", hi, got, x)
+	}
+	d.Release(hi, &lp)
+	d.FlushAll()
+	if d.arena.Valid(x) {
+		t.Fatal("not reclaimed after protection dropped")
+	}
+}
+
 // TestMaxHPsWatermark grows as indices are claimed.
 func TestMaxHPsWatermark(t *testing.T) {
 	d := newTestDomain(1)

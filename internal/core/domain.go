@@ -22,6 +22,8 @@ type tlInfo struct {
 	handovers     []atomic.Uint64
 	usedHaz       []int32
 	retireStarted bool
+	joined        bool  // owner-only: the domain's maxTids covers this thread
+	tid           int32 // fits the padding: tlInfo stays 160 bytes
 	recursive     []arena.Handle
 	// Single-writer counters, bumped with inc and summed by readers.
 	elides, retires, frees, peekFails atomic.Uint64
@@ -30,21 +32,6 @@ type tlInfo struct {
 // inc bumps a counter only its owning thread writes: a plain load and
 // store, no read-modify-write on a shared line.
 func inc(c *atomic.Uint64) { c.Store(c.Load() + 1) }
-
-// pub publishes u in hp[idx] unless the slot already holds it. The
-// shadow is the owner's record of what the slot publishes, so a match
-// means the store — a seq-cst operation on a cache line every retire
-// scan reads — can be elided without changing the published set: the
-// slot has continuously protected u since the earlier publication
-// (DESIGN.md §1.2). Reports whether it stored.
-func (t *tlInfo) pub(idx int32, u uint64) bool {
-	if t.shadow[idx] == u {
-		return false
-	}
-	t.shadow[idx] = u
-	t.hp[idx].Store(u)
-	return true
-}
 
 // noteElide counts one elided publication (read concurrently by
 // Domain.Elisions).
@@ -55,14 +42,14 @@ func (t *tlInfo) noteElide() { inc(&t.elides) }
 // objects of the domain are created with Make and reclaimed automatically
 // once they have no hard links, no protected local references, and no
 // global references. Hot paths write only the calling thread's tlInfo
-// (and maxHPs when an index above the watermark is claimed).
+// (and maxHPs or maxTids when the thread pushes a watermark).
 type Domain[T any] struct {
-	arena      *arena.Arena[T]
-	links      ForEachLink[T]
-	maxThreads int
-	capHPs     int32
-	maxHPs     atomic.Int64 // watermark over claimed hp indices (≥1: slot 0 is scratch)
-	tl         []*tlInfo
+	arena   *arena.Arena[T]
+	links   ForEachLink[T]
+	capHPs  int32
+	maxHPs  atomic.Int64 // watermark over claimed hp indices (≥1: slot 0 is scratch)
+	maxTids atomic.Int64 // watermark over tids that ever published a hazard
+	tl      []*tlInfo    // one per tid: len(tl) is the tid capacity
 }
 
 // DomainConfig sizes a Domain.
@@ -81,11 +68,10 @@ func NewDomain[T any](a *arena.Arena[T], links ForEachLink[T], cfg DomainConfig)
 		cfg.MaxHPs = 72
 	}
 	d := &Domain[T]{
-		arena:      a,
-		links:      links,
-		maxThreads: cfg.MaxThreads,
-		capHPs:     int32(cfg.MaxHPs),
-		tl:         make([]*tlInfo, cfg.MaxThreads),
+		arena:  a,
+		links:  links,
+		capHPs: int32(cfg.MaxHPs),
+		tl:     make([]*tlInfo, cfg.MaxThreads),
 	}
 	d.maxHPs.Store(1) // scratch slot 0 always scanned
 	for i := range d.tl {
@@ -94,6 +80,7 @@ func NewDomain[T any](a *arena.Arena[T], links ForEachLink[T], cfg DomainConfig)
 			shadow:    make([]uint64, cfg.MaxHPs),
 			handovers: make([]atomic.Uint64, cfg.MaxHPs),
 			usedHaz:   make([]int32, cfg.MaxHPs),
+			tid:       int32(i),
 		}
 	}
 	return d
@@ -101,6 +88,41 @@ func NewDomain[T any](a *arena.Arena[T], links ForEachLink[T], cfg DomainConfig)
 
 // Arena exposes the domain's arena (stats, direct reads in tests).
 func (d *Domain[T]) Arena() *arena.Arena[T] { return d.arena }
+
+// pub publishes u in thread t's hp[idx] unless the slot already holds
+// it. The shadow is the owner's record of what the slot publishes, so a
+// match means the store — a seq-cst operation on a cache line every
+// retire scan reads — can be elided without changing the published set:
+// the slot has continuously protected u since the earlier publication
+// (DESIGN.md §1.2). Reports whether it stored.
+func (d *Domain[T]) pub(t *tlInfo, idx int32, u uint64) bool {
+	if t.shadow[idx] == u {
+		return false
+	}
+	if !t.joined {
+		d.join(t)
+	}
+	t.shadow[idx] = u
+	t.hp[idx].Store(u)
+	return true
+}
+
+// join raises the tid watermark past thread t before its first hazard
+// publication, so retire scans that stop at the watermark cover every
+// row that ever published (DESIGN §4).
+func (d *Domain[T]) join(t *tlInfo) {
+	for {
+		cur := d.maxTids.Load()
+		if cur > int64(t.tid) || d.maxTids.CompareAndSwap(cur, int64(t.tid)+1) {
+			break
+		}
+	}
+	t.joined = true
+}
+
+// Threads reports the tid watermark: one past the highest tid that ever
+// published a hazardous pointer in this domain. Retire scans stop there.
+func (d *Domain[T]) Threads() int { return int(d.maxTids.Load()) }
 
 // Get dereferences a protected handle.
 func (d *Domain[T]) Get(h arena.Handle) *T { return d.arena.Get(h) }
@@ -149,7 +171,7 @@ func (d *Domain[T]) Make(tid int, init func(*T), p *Ptr) arena.Handle {
 	if init != nil {
 		init(obj)
 	}
-	d.tl[tid].pub(0, uint64(h))
+	d.pub(d.tl[tid], 0, uint64(h))
 	d.assign(tid, p, h, 0, true)
 	return h
 }
@@ -259,8 +281,7 @@ func (d *Domain[T]) Elisions() uint64 {
 // loop instead of waiting for future operations).
 func (d *Domain[T]) FlushAll() {
 	clearRows := func() {
-		for tid := 0; tid < d.maxThreads; tid++ {
-			t := d.tl[tid]
+		for _, t := range d.tl {
 			for i := int32(0); i < d.capHPs; i++ {
 				t.hp[i].Store(0)
 				t.shadow[i] = 0 // quiescent cross-thread write: keep the mirror true
@@ -271,8 +292,7 @@ func (d *Domain[T]) FlushAll() {
 	clearRows()
 	for {
 		drained := false
-		for tid := 0; tid < d.maxThreads; tid++ {
-			t := d.tl[tid]
+		for tid, t := range d.tl {
 			for i := int32(0); i < d.capHPs; i++ {
 				h := arena.Handle(t.handovers[i].Swap(0))
 				if h.IsNil() {
@@ -282,7 +302,7 @@ func (d *Domain[T]) FlushAll() {
 				// Retires during this drain republish only this
 				// thread's scratch slot (decrementOrc's Proposition-1
 				// store); drop it so the scan cannot re-park on it.
-				t.pub(0, 0)
+				d.pub(t, 0, 0)
 				d.retire(tid, h)
 				// Chain collapse: each delete re-parks its dying child
 				// in this thread's scratch handover slot; drain it in
@@ -292,7 +312,7 @@ func (d *Domain[T]) FlushAll() {
 					if h0.IsNil() {
 						break
 					}
-					t.pub(0, 0)
+					d.pub(t, 0, 0)
 					d.retire(tid, h0)
 				}
 			}

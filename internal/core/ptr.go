@@ -68,7 +68,7 @@ func (d *Domain[T]) assign(tid int, p *Ptr, h arena.Handle, srcIdx int32, fresh 
 		// Unattached Ptr: first fill.
 		if srcIdx == 0 {
 			p.idx = d.getNewIdx(tid, 1)
-			if !t.pub(p.idx, uint64(h.Unmarked())) {
+			if !d.pub(t, p.idx, uint64(h.Unmarked())) {
 				// Elision fast path: the claimed slot already publishes h
 				// (clear deliberately leaves stale publications behind).
 				t.noteElide()
@@ -87,7 +87,7 @@ func (d *Domain[T]) assign(tid int, p *Ptr, h arena.Handle, srcIdx int32, fresh 
 		if !reuse {
 			p.idx = d.getNewIdx(tid, srcIdx+1)
 		}
-		if !t.pub(p.idx, uint64(h.Unmarked())) {
+		if !d.pub(t, p.idx, uint64(h.Unmarked())) {
 			// Elision fast path: republishing the handle the reused slot
 			// already protects (e.g. `cur = cur->next` loops that land
 			// back on the same node, or retry paths).

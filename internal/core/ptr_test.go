@@ -171,7 +171,7 @@ func TestLoadEmptyClaimsLowestFree(t *testing.T) {
 	d.Release(0, &p1) // frees idx 1; h stays linked from root
 
 	tl := d.tl[0]
-	tl.pub(0, 0) // empty the scratch slot so any write to it shows
+	d.pub(tl, 0, 0) // empty the scratch slot so any write to it shows
 
 	var lp Ptr
 	d.Load(0, &root, &lp)
@@ -253,7 +253,7 @@ func TestSharedIdxNotReusedOnAssign(t *testing.T) {
 	// Loading into a (NOT the sole user of its index) must claim a fresh
 	// index and publish there, leaving b's protection untouched at the
 	// shared one and the scratch slot unwritten.
-	d.tl[0].pub(0, 0)
+	d.pub(d.tl[0], 0, 0)
 	d.Load(0, &root, &a)
 	if a.idx == sharedIdx {
 		t.Fatal("assignment reused a shared index")

@@ -64,12 +64,15 @@ func (d *Domain[T]) retire(tid int, h arena.Handle) {
 }
 
 // tryHandover is Algorithm 6 lines 134–145: scan every published
-// hazardous pointer up to the index watermark; on a match, exchange the
-// object into the paired handover slot and adopt whatever was parked
-// there.
+// hazardous pointer up to the index and tid watermarks; on a match,
+// exchange the object into the paired handover slot and adopt whatever
+// was parked there. A row past the tid watermark read here belongs to a
+// thread whose first publication is ordered after this load, so the
+// publisher's validating re-read (or Lemma 1's sequence check) covers it.
 func (d *Domain[T]) tryHandover(h *arena.Handle) bool {
 	lmax := int32(d.maxHPs.Load())
-	for it := 0; it < d.maxThreads; it++ {
+	lthr := int(d.maxTids.Load())
+	for it := 0; it < lthr; it++ {
 		t := d.tl[it]
 		for idx := int32(0); idx < lmax; idx++ {
 			if uint64(*h) == t.hp[idx].Load() {
@@ -88,14 +91,14 @@ func (d *Domain[T]) tryHandover(h *arena.Handle) bool {
 // object), or 0 if ownership lapsed.
 func (d *Domain[T]) clearBitRetired(tid int, h arena.Handle) uint64 {
 	t := d.tl[tid]
-	t.pub(0, uint64(h))
+	d.pub(t, 0, uint64(h))
 	orc := d.arena.HdrA(h)
 	lorc := orc.Add(^bretired + 1) // fetch_add(-BRETIRED)
 	if ocnt(lorc) == orcZero && orc.CompareAndSwap(lorc, lorc+bretired) {
-		t.pub(0, 0)
+		d.pub(t, 0, 0)
 		return lorc + bretired
 	}
-	t.pub(0, 0)
+	d.pub(t, 0, 0)
 	return 0
 }
 

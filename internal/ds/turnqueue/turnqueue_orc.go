@@ -166,6 +166,27 @@ func (q *OrcQueue) Dequeue(tid int) (uint64, bool) {
 	}
 }
 
+// turnAfter is where the dequeue turn scan starts after the request pl
+// names: its owner + 1, or 0 when there is none. pl is not protected, so
+// the owner is read speculatively and counts only if pl still validates
+// afterwards; a request freed meanwhile restarts the turn at 0.
+//
+//go:norace
+func (q *OrcQueue) turnAfter(pl arena.Handle) int {
+	if pl.IsNil() {
+		return 0
+	}
+	req, ok := q.d.Peek(pl)
+	if !ok {
+		return 0
+	}
+	owner := req.owner
+	if !q.d.Unchanged(pl) {
+		return 0
+	}
+	return int(owner) + 1
+}
+
 // serve performs one helping step of the dequeue protocol.
 func (q *OrcQueue) serve(tid int) {
 	d := q.d
@@ -211,12 +232,7 @@ func (q *OrcQueue) serve(tid int) {
 		if cur.IsNil() {
 			// Choose the next dequeuer in turn order: scan from the
 			// previous consumer's owner + 1.
-			start := 0
-			if pl := hn.reqLink.Raw(); !pl.IsNil() {
-				if prevReq, ok := d.Arena().TryGet(pl); ok {
-					start = int(prevReq.owner) + 1
-				}
-			}
+			start := q.turnAfter(hn.reqLink.Raw())
 			chosen := false
 			for j := 0; j < q.nthr; j++ {
 				i := (start + j) % q.nthr

@@ -16,21 +16,25 @@ import (
 // Server serves the wire protocol over TCP. Each accepted connection
 // checks a tid out of a fixed pool for its lifetime — the tid is what
 // the reclamation layer keys its per-thread state on, so connections
-// map one-to-one onto reclamation threads. A reader goroutine parses
-// and executes requests serially (per-connection order is the protocol
-// contract) while a writer goroutine streams responses, flushing only
-// when the pipeline goes idle.
+// map one-to-one onto reclamation threads. A connection gets the lowest
+// free tid, so connection churn keeps reusing the same few tids and the
+// OrcGC retire scans, which stop at the highest tid that ever published,
+// stay short. A reader goroutine parses and executes requests serially
+// (per-connection order is the protocol contract) while a writer
+// goroutine streams responses, flushing only when the pipeline goes
+// idle.
 type Server struct {
 	st *Store
 	ln net.Listener
 
-	tids chan int // pool of tids 1..MaxThreads-1; tid 0 belongs to New/drain
+	tids chan struct{} // one token per tid in 1..MaxThreads-1; tid 0 belongs to New/drain
 
 	adm admission
 
-	mu     sync.Mutex
-	conns  map[net.Conn]*connState
-	closed bool
+	mu      sync.Mutex
+	conns   map[net.Conn]*connState
+	tidBusy []bool // under mu: which tids live connections hold
+	closed  bool
 
 	m *srvMetrics // nil unless Instrument was called
 
@@ -209,13 +213,14 @@ func NewServer(st *Store, opts ...ServerOption) *Server {
 		o(&sc)
 	}
 	s := &Server{
-		st:    st,
-		tids:  make(chan int, st.MaxThreads()-1),
-		conns: make(map[net.Conn]*connState),
+		st:      st,
+		tids:    make(chan struct{}, st.MaxThreads()-1),
+		conns:   make(map[net.Conn]*connState),
+		tidBusy: make([]bool, st.MaxThreads()),
 	}
 	s.adm.init(sc.maxInflight, sc.maxQueue)
 	for t := 1; t < st.MaxThreads(); t++ {
-		s.tids <- t
+		s.tids <- struct{}{}
 	}
 	return s
 }
@@ -290,10 +295,10 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		select {
-		case tid := <-s.tids:
-			cs, ok := s.track(c)
+		case <-s.tids:
+			cs, tid, ok := s.track(c)
 			if !ok {
-				s.tids <- tid
+				s.tids <- struct{}{}
 				c.Close()
 				return nil
 			}
@@ -307,20 +312,28 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-func (s *Server) track(c net.Conn) (*connState, bool) {
+// track registers c and hands it the lowest free tid. The caller holds
+// a tid token, so one is free.
+func (s *Server) track(c net.Conn) (*connState, int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false
+		return nil, 0, false
 	}
+	tid := 1
+	for s.tidBusy[tid] {
+		tid++
+	}
+	s.tidBusy[tid] = true
 	cs := &connState{resp: make(chan *[]byte, 256)}
 	s.conns[c] = cs
-	return cs, true
+	return cs, tid, true
 }
 
-func (s *Server) untrack(c net.Conn) {
+func (s *Server) untrack(c net.Conn, tid int) {
 	s.mu.Lock()
 	delete(s.conns, c)
+	s.tidBusy[tid] = false
 	s.mu.Unlock()
 }
 
@@ -354,8 +367,8 @@ func (s *Server) Shutdown() {
 // tracked response channel.
 func (s *Server) handle(c net.Conn, cs *connState, tid int) {
 	defer s.wg.Done()
-	defer func() { s.tids <- tid }()
-	defer s.untrack(c)
+	defer func() { s.tids <- struct{}{} }()
+	defer s.untrack(c, tid)
 	defer c.Close()
 
 	resp := cs.resp
@@ -536,30 +549,31 @@ func (s *Server) execute(tid int, dst, req []byte) []byte {
 	case OpDrain:
 		// Quiescent barrier: DrainAndCheck walks every tid's protection
 		// slots (plain owner-mirrors, not atomics), so every other
-		// connection must be gone first. Claiming the whole tid pool
+		// connection must be gone first. Claiming every tid token
 		// does both jobs at once: each receive is the happens-before
-		// edge with the handler that returned that tid (or with the
-		// pool seeding, for never-used tids), and an empty pool makes
+		// edge with the handler that returned that token (or with the
+		// pool seeding, for never-used ones), and an empty pool makes
 		// Serve refuse connections that arrive mid-drain. A client that
 		// keeps its connection open makes this time out rather than
 		// race.
-		claimed := make([]int, 0, cap(s.tids))
+		claimed := 0
 		timeout := time.After(30 * time.Second)
-		for len(claimed) < cap(s.tids)-1 {
+		giveBack := func() {
+			for ; claimed > 0; claimed-- {
+				s.tids <- struct{}{}
+			}
+		}
+		for claimed < cap(s.tids)-1 {
 			select {
-			case t := <-s.tids:
-				claimed = append(claimed, t)
+			case <-s.tids:
+				claimed++
 			case <-timeout:
-				for _, t := range claimed {
-					s.tids <- t
-				}
+				giveBack()
 				return errFrame(out, fs, "drain: store busy (another connection still holds a reclamation tid)")
 			}
 		}
 		js, err := json.Marshal(s.st.DrainAndCheck(tid))
-		for _, t := range claimed {
-			s.tids <- t
-		}
+		giveBack()
 		if err != nil {
 			return errFrame(out, fs, err.Error())
 		}

@@ -5,6 +5,10 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/ds/hashmap"
+	"repro/internal/ds/skiplist"
 )
 
 // ctx is the no-deadline context the blocking round trips in these
@@ -180,6 +184,45 @@ func TestServerPipelinedDrain(t *testing.T) {
 
 // TestServerTidExhaustion checks the server refuses connections beyond
 // the tid pool instead of corrupting reclamation state.
+// TestServerReusesLowestTid: sequential connections all run as tid 1,
+// so connection churn never raises an OrcGC domain's tid watermark past
+// tid 0 (construction) and tid 1.
+func TestServerReusesLowestTid(t *testing.T) {
+	st, srv, addr := startServer(t, "orcgc", 64)
+	for i := 0; i < 100; i++ {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Put(ctx, uint64(i+1), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		cl.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			srv.mu.Lock()
+			n := len(srv.conns)
+			srv.mu.Unlock()
+			if n == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: connection never untracked", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	watermarks := []int{st.scan.(*skiplist.CRFOrc).Domain().Threads()}
+	for _, point := range st.shards {
+		watermarks = append(watermarks, point.(*hashmap.OrcMap).Domain().Threads())
+	}
+	for i, w := range watermarks {
+		if w > 2 {
+			t.Fatalf("domain %d tid watermark %d after 100 sequential connections, want <= 2", i, w)
+		}
+	}
+}
+
 func TestServerTidExhaustion(t *testing.T) {
 	_, _, addr := startServer(t, "ebr", 2) // pool = {1}: one connection
 	cl1, err := Dial(addr)

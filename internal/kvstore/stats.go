@@ -109,25 +109,25 @@ type DrainReport struct {
 // for on the leak lists).
 func (st *Store) DrainAndCheck(tid int) DrainReport {
 	deleted := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		var keys []uint64
-		sh.point.Keys(func(k uint64) { keys = append(keys, k) })
+	var keys []uint64
+	for _, point := range st.shards {
+		keys = keys[:0]
+		point.Keys(func(k uint64) { keys = append(keys, k) })
 		for _, k := range keys {
 			if ok, _ := st.Del(tid, k); ok {
 				deleted++
 			}
 		}
-		// Ghost keys: a Del racing a Put can leave a key in the scan index
-		// only. They hold no value, so they do not count as deleted.
-		keys = keys[:0]
-		sh.scan.Scan(tid, MinKey, math.MaxInt, func(k, _ uint64) bool {
-			keys = append(keys, k)
-			return true
-		})
-		for _, k := range keys {
-			sh.scan.Remove(tid, k)
-		}
+	}
+	// Ghost keys: a Del racing a Put can leave a key in the scan index
+	// only. They hold no value, so they do not count as deleted.
+	keys = keys[:0]
+	st.scan.Scan(tid, MinKey, math.MaxInt, func(k, _ uint64) bool {
+		keys = append(keys, k)
+		return true
+	})
+	for _, k := range keys {
+		st.scan.Remove(tid, k)
 	}
 	// Flush rounds: every tid clears its protections, then each round
 	// retries the deferred frees that earlier rounds' protections held up.

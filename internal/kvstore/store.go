@@ -1,19 +1,20 @@
-// Package kvstore is orcstore: a sharded in-memory key/value store
-// whose shards are the repo's lock-free maps, generic over reclamation
-// scheme. Each shard pairs a hash map (point ops: Get/Put/Del), which is
-// authoritative and alone holds the values, with a skip list (ordered
-// Scan) holding its keys, written only when Put inserts a key or Del
-// removes one. Once quiet the skip list holds every key, plus perhaps a
-// few ghost keys the hash map lost to a Del/Put race; Scan skips them.
+// Package kvstore is orcstore: an in-memory key/value store built from
+// the repo's lock-free maps, generic over reclamation scheme. Point ops
+// (Get/Put/Del) go to a sharded hash map, which is authoritative and
+// alone holds the values. One skip list per store (ordered Scan) holds
+// every key, written only when Put inserts a key or Del removes one; a
+// Scan is one walk of it, reading each value back from the hash map.
+// Once quiet the skip list holds every key, plus perhaps a few ghost
+// keys the hash map lost to a Del/Put race; Scan skips them.
 // The store exists to put every reclamation scheme under real traffic —
 // long-lived connections, pipelined mixed workloads, range scans that
 // pin epochs — rather than the closed-loop microbenchmark shape.
 //
 // Scheme wiring per mode:
 //
-//	orcgc        OrcMap + CRF skip list (fully automatic)
-//	ebr, none    ManualMap(s) + HS skip list(s)
-//	hp, ptb,     ManualMap(s) + HS skip list under EBR — the HS list's
+//	orcgc        OrcMap shards + CRF skip list (fully automatic)
+//	ebr, none    ManualMap shards + HS skip list
+//	hp, ptb,     ManualMap shards + HS skip list under EBR — the HS list's
 //	ptp, he, ibr wait-free traversal walks through removed nodes with no
 //	             per-pointer validation window, so pointer-based schemes
 //	             cannot protect it (the paper's §2 second obstacle); the
@@ -23,6 +24,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arena"
 	"repro/internal/core"
@@ -88,17 +90,12 @@ type pointIndex interface {
 	Keys(emit func(key uint64)) // quiescent use only
 }
 
-// scanIndex is the skip-list face of a shard: an ordered key set (Scan
-// emits zero values).
+// scanIndex is the store's skip list: an ordered key set (Scan emits
+// zero values).
 type scanIndex interface {
 	Insert(tid int, key uint64) bool
 	Remove(tid int, key uint64) bool
 	Scan(tid int, from uint64, limit int, emit func(k, v uint64) bool) int
-}
-
-type shard struct {
-	point pointIndex
-	scan  scanIndex
 }
 
 // Store is the sharded KV store. All methods are safe for concurrent
@@ -107,7 +104,8 @@ type shard struct {
 type Store struct {
 	cfg       Config
 	shardMask uint64
-	shards    []shard
+	shards    []pointIndex
+	scan      scanIndex
 	stats     func() []SideStats // per-index stats collectors
 	flush     func(tid int)      // one best-effort drain round over every index
 	baseline  int64              // total arena Live right after New
@@ -124,44 +122,49 @@ func New(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{cfg: cfg, shardMask: uint64(cfg.Shards - 1)}
-	st.shards = make([]shard, cfg.Shards)
+	st.shards = make([]pointIndex, cfg.Shards)
 
 	var collect []func() SideStats
 	var flushers []func(tid int)
 	var arenas []func() arena.Stats
+	addOrc := func(label string, ar func() arena.Stats, flushAll func()) {
+		collect = append(collect, orcSide(label, "orcgc", ar))
+		arenas = append(arenas, ar)
+		flushers = append(flushers, func(int) { flushAll() })
+	}
+	addManual := func(label, scheme string, ar func() arena.Stats, s reclaim.Scheme) {
+		collect = append(collect, manualSide(label, scheme, ar, s, cfg.MaxThreads))
+		arenas = append(arenas, ar)
+		flushers = append(flushers, func(tid int) { s.ClearAll(tid); s.Flush(tid) })
+	}
+	dc := core.DomainConfig{MaxThreads: cfg.MaxThreads}
+	opts := func(label string) reclaim.Options {
+		return reclaim.Options{MaxThreads: cfg.MaxThreads, Label: label, Metrics: cfg.Metrics}
+	}
 	for i := range st.shards {
-		sh := &st.shards[i]
-		label := fmt.Sprintf("shard%d", i)
-		switch cfg.Scheme {
-		case "orcgc":
-			m := hashmap.NewOrc(0, cfg.Buckets, core.DomainConfig{MaxThreads: cfg.MaxThreads})
-			s := skiplist.NewCRFOrc(0, core.DomainConfig{MaxThreads: cfg.MaxThreads})
-			sh.point, sh.scan = m, s
-			collect = append(collect,
-				orcSide(label+"/map", "orcgc", m.Domain().Arena().Stats),
-				orcSide(label+"/skip", "orcgc", s.Domain().Arena().Stats))
-			arenas = append(arenas, m.Domain().Arena().Stats, s.Domain().Arena().Stats)
-			flushers = append(flushers,
-				func(int) { m.Domain().FlushAll() },
-				func(int) { s.Domain().FlushAll() })
-		default:
-			m := hashmap.NewManual(cfg.Scheme, cfg.Buckets, reclaim.Options{
-				MaxThreads: cfg.MaxThreads, Label: label + "/map", Metrics: cfg.Metrics})
-			scanScheme := cfg.Scheme
-			if scanScheme != "ebr" && scanScheme != "none" {
-				scanScheme = "ebr" // §2 fallback, see package comment
-			}
-			s := skiplist.NewHSManual(scanScheme, reclaim.Options{
-				MaxThreads: cfg.MaxThreads, Label: label + "/skip", Metrics: cfg.Metrics})
-			sh.point, sh.scan = m, s
-			collect = append(collect,
-				manualSide(label+"/map", cfg.Scheme, m.Arena().Stats, m.Scheme(), cfg.MaxThreads),
-				manualSide(label+"/skip", scanScheme, s.Arena().Stats, s.Scheme(), cfg.MaxThreads))
-			arenas = append(arenas, m.Arena().Stats, s.Arena().Stats)
-			flushers = append(flushers,
-				func(tid int) { m.Scheme().ClearAll(tid); m.Scheme().Flush(tid) },
-				func(tid int) { s.Scheme().ClearAll(tid); s.Scheme().Flush(tid) })
+		label := fmt.Sprintf("shard%d/map", i)
+		if cfg.Scheme == "orcgc" {
+			m := hashmap.NewOrc(0, cfg.Buckets, dc)
+			st.shards[i] = m
+			addOrc(label, m.Domain().Arena().Stats, m.Domain().FlushAll)
+		} else {
+			m := hashmap.NewManual(cfg.Scheme, cfg.Buckets, opts(label))
+			st.shards[i] = m
+			addManual(label, cfg.Scheme, m.Arena().Stats, m.Scheme())
 		}
+	}
+	if cfg.Scheme == "orcgc" {
+		s := skiplist.NewCRFOrc(0, dc)
+		st.scan = s
+		addOrc("skip", s.Domain().Arena().Stats, s.Domain().FlushAll)
+	} else {
+		scanScheme := cfg.Scheme
+		if scanScheme != "ebr" && scanScheme != "none" {
+			scanScheme = "ebr" // §2 fallback, see package comment
+		}
+		s := skiplist.NewHSManual(scanScheme, opts("skip"))
+		st.scan = s
+		addManual("skip", scanScheme, s.Arena().Stats, s.Scheme())
 	}
 	st.stats = func() []SideStats {
 		out := make([]SideStats, len(collect))
@@ -238,9 +241,9 @@ func (st *Store) Scheme() string { return st.cfg.Scheme }
 func (st *Store) MaxThreads() int { return st.cfg.MaxThreads }
 
 // shardOf spreads keys across shards by Fibonacci hashing so adjacent
-// keys land on different shards (scans then merge across all shards).
-func (st *Store) shardOf(key uint64) *shard {
-	return &st.shards[(key*0x9e3779b97f4a7c15)>>32&st.shardMask]
+// keys land on different shards.
+func (st *Store) shardOf(key uint64) pointIndex {
+	return st.shards[(key*0x9e3779b97f4a7c15)>>32&st.shardMask]
 }
 
 func validKey(key uint64) bool { return key >= MinKey && key <= MaxKey }
@@ -251,10 +254,9 @@ func (st *Store) Put(tid int, key, val uint64) (bool, error) {
 	if !validKey(key) {
 		return false, fmt.Errorf("kvstore: key %d out of range", key)
 	}
-	sh := st.shardOf(key)
-	ins := sh.point.Put(tid, key, val)
+	ins := st.shardOf(key).Put(tid, key, val)
 	if ins {
-		sh.scan.Insert(tid, key)
+		st.scan.Insert(tid, key)
 	}
 	return ins, nil
 }
@@ -264,7 +266,7 @@ func (st *Store) Get(tid int, key uint64) (uint64, bool, error) {
 	if !validKey(key) {
 		return 0, false, fmt.Errorf("kvstore: key %d out of range", key)
 	}
-	v, ok := st.shardOf(key).point.Get(tid, key)
+	v, ok := st.shardOf(key).Get(tid, key)
 	return v, ok, nil
 }
 
@@ -274,64 +276,32 @@ func (st *Store) Del(tid int, key uint64) (bool, error) {
 	if !validKey(key) {
 		return false, fmt.Errorf("kvstore: key %d out of range", key)
 	}
-	sh := st.shardOf(key)
-	ok := sh.point.Remove(tid, key)
+	point := st.shardOf(key)
+	ok := point.Remove(tid, key)
 	if ok {
-		sh.scan.Remove(tid, key)
-		if _, back := sh.point.Get(tid, key); back {
-			sh.scan.Insert(tid, key)
+		st.scan.Remove(tid, key)
+		if _, back := point.Get(tid, key); back {
+			st.scan.Insert(tid, key)
 		}
 	}
 	return ok, nil
 }
 
-// Scan emits up to limit pairs with key ≥ from in ascending key order,
-// k-way-merging the per-shard key scans and reading each value from the
-// point index, skipping ghost keys. When a full shard batch is used up
-// with the result still short, the next round resumes past its last key.
+// Scan emits up to limit pairs with key ≥ from in ascending key order:
+// one walk of the scan index from from, reading each value from the
+// point index and skipping ghost keys, stopped once limit pairs are in.
 func (st *Store) Scan(tid int, from uint64, limit int) ([]uint64, error) {
-	if from < MinKey {
-		from = MinKey
-	}
 	if limit <= 0 {
 		return nil, nil
 	}
-	keys := make([][]uint64, len(st.shards)) // per shard, ascending
-	pos := make([]int, len(st.shards))
 	out := make([]uint64, 0, 2*limit)
-	for {
-		want := limit - len(out)/2
-		for i := range st.shards {
-			ks := keys[i][:0]
-			st.shards[i].scan.Scan(tid, from, want, func(k, _ uint64) bool {
-				ks = append(ks, k)
-				return true
-			})
-			keys[i], pos[i] = ks, 0
+	st.scan.Scan(tid, from, math.MaxInt, func(k, _ uint64) bool {
+		if v, ok := st.shardOf(k).Get(tid, k); ok {
+			out = append(out, k, v)
 		}
-		for {
-			best := -1
-			for i, ks := range keys {
-				if pos[i] < len(ks) && (best < 0 || ks[pos[i]] < keys[best][pos[best]]) {
-					best = i
-				}
-			}
-			if best < 0 {
-				return out, nil
-			}
-			k := keys[best][pos[best]]
-			pos[best]++
-			if v, ok := st.shards[best].point.Get(tid, k); ok {
-				if out = append(out, k, v); len(out) == 2*limit {
-					return out, nil
-				}
-			}
-			if pos[best] == want && k < MaxKey { // the shard may hold more past k
-				from = k + 1
-				break
-			}
-		}
-	}
+		return len(out) < 2*limit
+	})
+	return out, nil
 }
 
 // live sums arena Live over every index.

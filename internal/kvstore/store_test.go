@@ -24,7 +24,7 @@ func TestStoreAllModes(t *testing.T) {
 			}
 			// A ghost key: in the scan index only, as a Del racing a Put
 			// can leave it. Scan must skip it and the drain remove it.
-			st.shardOf(7).scan.Insert(0, 7)
+			st.scan.Insert(0, 7)
 			if v, ok, _ := st.Get(0, 5); !ok || v != 55 {
 				t.Fatalf("get(5) = %d,%v", v, ok)
 			}
@@ -42,7 +42,7 @@ func TestStoreAllModes(t *testing.T) {
 			if len(pairs)/2 != 21 {
 				t.Fatalf("scan found %d keys, want 21", len(pairs)/2)
 			}
-			// Bounded scan across the shard merge.
+			// Bounded scan over keys spread across the shards.
 			pairs, _ = st.Scan(0, 10, 5)
 			if len(pairs)/2 != 5 || pairs[0] < 10 {
 				t.Fatalf("bounded scan = %v", pairs)
@@ -93,9 +93,9 @@ func TestStoreDelPutInterleaving(t *testing.T) {
 				t.Fatal(err)
 			}
 			st.Put(0, k, 1)
-			hs := &hookedScan{scanIndex: st.shards[0].scan}
+			hs := &hookedScan{scanIndex: st.scan}
 			hs.hook = func() { st.Put(1, k, 2) }
-			st.shards[0].scan = hs
+			st.scan = hs
 			st.Del(0, k)
 			if v, ok, _ := st.Get(0, k); !ok || v != 2 {
 				t.Fatalf("Get(%d) = %d,%v, want 2,true", k, v, ok)
@@ -110,15 +110,15 @@ func TestStoreDelPutInterleaving(t *testing.T) {
 	}
 }
 
-// TestStoreScanSkipsGhosts: ghost keys filling whole shard batches must
-// not cut a Scan short; it resumes past each exhausted batch.
+// TestStoreScanSkipsGhosts: a run of ghost keys longer than the limit
+// must not cut a Scan short.
 func TestStoreScanSkipsGhosts(t *testing.T) {
 	st, err := New(Config{Scheme: "orcgc", Shards: 2, Buckets: 16, MaxThreads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := uint64(1); k <= 20; k++ {
-		st.shardOf(k).scan.Insert(0, k)
+		st.scan.Insert(0, k)
 	}
 	for _, k := range []uint64{9, 21, 30} {
 		st.Put(0, k, k*10)
@@ -132,6 +132,60 @@ func TestStoreScanSkipsGhosts(t *testing.T) {
 	}
 	if rep := st.DrainAndCheck(0); !rep.LeakOK || rep.Deleted != 3 {
 		t.Fatalf("drain: %+v", rep)
+	}
+}
+
+// countingScan counts the Scan calls a scan index receives and the keys
+// it emits.
+type countingScan struct {
+	scanIndex
+	calls, keys int
+}
+
+func (c *countingScan) Scan(tid int, from uint64, limit int, emit func(k, v uint64) bool) int {
+	c.calls++
+	return c.scanIndex.Scan(tid, from, limit, func(k, v uint64) bool {
+		c.keys++
+		return emit(k, v)
+	})
+}
+
+// TestStoreScanWalksIndexOnce: a Scan over eight shards is one walk of
+// the one scan index, reading no more keys than it returns plus the
+// ghosts it skips.
+func TestStoreScanWalksIndexOnce(t *testing.T) {
+	const ghosts = 5
+	for _, mode := range []string{"orcgc", "ebr", "hp"} {
+		t.Run(mode, func(t *testing.T) {
+			st, err := New(Config{Scheme: mode, Shards: 8, Buckets: 64, MaxThreads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(1); k <= 200; k++ {
+				st.Put(0, k, k*10)
+			}
+			for k := uint64(1000); k < 1000+ghosts; k++ {
+				st.scan.Insert(0, k) // ghosts inside the scanned range
+			}
+			for k := uint64(1000 + ghosts); k < 1100; k++ {
+				st.Put(0, k, k*10)
+			}
+			cs := &countingScan{scanIndex: st.scan}
+			st.scan = cs
+			pairs, _ := st.Scan(0, 190, 16)
+			if len(pairs) != 32 || pairs[0] != 190 || pairs[2*11] != 1000+ghosts {
+				t.Fatalf("Scan(190, 16) = %v", pairs)
+			}
+			if cs.calls != 1 {
+				t.Fatalf("Scan called the index %d times, want 1", cs.calls)
+			}
+			if cs.keys > 16+ghosts {
+				t.Fatalf("Scan read %d keys, want at most %d", cs.keys, 16+ghosts)
+			}
+			if rep := st.DrainAndCheck(0); !rep.LeakOK {
+				t.Fatalf("drain: %+v", rep)
+			}
+		})
 	}
 }
 
@@ -168,7 +222,7 @@ func TestStoreIndexesAgreeAfterChurn(t *testing.T) {
 				wg.Wait()
 				var want []uint64
 				for i := range st.shards {
-					st.shards[i].point.Keys(func(k uint64) { want = append(want, k) })
+					st.shards[i].Keys(func(k uint64) { want = append(want, k) })
 				}
 				slices.Sort(want)
 				pairs, _ := st.Scan(0, MinKey, 64)

@@ -22,9 +22,8 @@ const MaxThreads = 256
 // releases it when done, mirroring the per-thread arrays the paper
 // indexes with thread_local tids.
 type Registry struct {
-	capacity  int
-	slots     []PaddedUint64 // 0 = free, 1 = taken
-	watermark atomic.Int64   // highest tid ever taken + 1
+	capacity int
+	slots    []PaddedUint64 // 0 = free, 1 = taken
 }
 
 // NewRegistry creates a registry for up to capacity threads.
@@ -40,12 +39,6 @@ func NewRegistry(capacity int) *Registry {
 func (r *Registry) Acquire() int {
 	for tid := 0; tid < r.capacity; tid++ {
 		if r.slots[tid].Load() == 0 && r.slots[tid].CompareAndSwap(0, 1) {
-			for {
-				w := r.watermark.Load()
-				if int64(tid) < w || r.watermark.CompareAndSwap(w, int64(tid)+1) {
-					break
-				}
-			}
 			return tid
 		}
 	}
@@ -61,10 +54,6 @@ func (r *Registry) Release(tid int) {
 
 // Cap returns the registry capacity.
 func (r *Registry) Cap() int { return r.capacity }
-
-// Watermark returns one past the highest tid ever handed out; scheme
-// scans iterate to the watermark instead of the full capacity.
-func (r *Registry) Watermark() int { return int(r.watermark.Load()) }
 
 // PaddedUint64 is an atomic uint64 alone on its cache line.
 type PaddedUint64 struct {

@@ -24,22 +24,6 @@ func TestRegistryAcquireRelease(t *testing.T) {
 	r.Release(c)
 }
 
-func TestRegistryWatermark(t *testing.T) {
-	r := NewRegistry(8)
-	t0 := r.Acquire()
-	t1 := r.Acquire()
-	t2 := r.Acquire()
-	if r.Watermark() != 3 {
-		t.Fatalf("watermark %d, want 3", r.Watermark())
-	}
-	r.Release(t1)
-	r.Release(t2)
-	if r.Watermark() != 3 {
-		t.Fatal("watermark must be monotone")
-	}
-	r.Release(t0)
-}
-
 func TestRegistryFullPanics(t *testing.T) {
 	r := NewRegistry(2)
 	r.Acquire()
