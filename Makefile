@@ -6,7 +6,7 @@ GO ?= go
 # lock-free metrics registry all of them report into.
 RACE_PKGS = ./internal/arena/ ./internal/core/ ./internal/reclaim/ ./internal/kvstore/ ./internal/cluster/ ./internal/obs/ ./internal/torture/
 
-.PHONY: check vet orcvet build test race race-peek cluster-guards bench-alloc bench-scan serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke bench-kv bench-cluster bench-cluster-short profile-cluster clean
+.PHONY: check vet orcvet build test race race-peek cluster-guards bench bench-smoke serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke profile-cluster clean
 
 BIN = bin
 
@@ -49,16 +49,18 @@ race-peek:
 cluster-guards:
 	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyGoroutineBaseline' -count=1 -v
 
-# Re-measure the allocator against the single-free-list baseline and
-# refresh BENCH_alloc.json.
-bench-alloc:
-	ALLOC_BENCH=1 $(GO) test ./internal/arena/ -run TestAllocBenchReport -count=1 -v
+# The repo's one measurement system: four workloads (ds-churn, ds-read,
+# kv-mixed, proxy-read) x five subjects, the end-to-end metrics with
+# spread, and the per-layer ladder; one JSON line per result. See
+# benchmark/README.md. Exits non-zero if any correctness check fails.
+bench:
+	bash benchmark/run.sh
 
-# Re-measure the scan engine (reusable sorted snapshot + binary search)
-# against the seed's per-scan map baseline, plus the protection fast
-# path, and refresh BENCH_scan.json.
-bench-scan:
-	SCAN_BENCH=1 $(GO) test ./internal/reclaim/ -run TestScanBenchReport -count=1 -v
+# CI-sized bench: every workload for 2s, no traced ladder. Fails only
+# when a correctness check fails (faults, leaks, wrong answers, errors),
+# and drives the proxy fast path end to end through proxy-read.
+bench-smoke:
+	bash benchmark/run.sh --seconds 2 --trace 0
 
 # orcstore: run the KV server (RECLAIM selects the scheme) and drive it.
 # The metrics endpoint comes up alongside: curl $(METRICS)/metrics.
@@ -72,16 +74,21 @@ serve:
 load:
 	$(GO) run ./cmd/kvload -addr $(ADDR) -conns 8 -duration 5s
 
-# Quick loopback sanity run: server + 2s uniform load, then SIGINT and
-# verify the drain leak check passes (kvserver exits non-zero if not).
+# Quick loopback sanity run of every scheme through the real binaries:
+# per scheme, a server + 1s of zipfian mixed load, then SIGINT and verify
+# the drain leak check passes (kvserver exits non-zero if not, which
+# fails the target).
 smoke:
 	$(GO) build -o bin/kvserver ./cmd/kvserver
 	$(GO) build -o bin/kvload ./cmd/kvload
-	./bin/kvserver -addr 127.0.0.1:7199 -reclaim $(RECLAIM) & \
-	pid=$$!; sleep 1; \
-	./bin/kvload -addr 127.0.0.1:7199 -conns 4 -duration 2s -warmup 500ms \
-	  -dist uniform -keys 10000 -out '' || { kill $$pid; exit 1; }; \
-	kill -INT $$pid; wait $$pid
+	for s in orcgc none hp ptb ptp ebr he ibr; do \
+	  ./bin/kvserver -addr 127.0.0.1:7199 -reclaim $$s & \
+	  pid=$$!; sleep 0.5; \
+	  ./bin/kvload -addr 127.0.0.1:7199 -conns 4 -duration 1s -warmup 200ms \
+	    -dist zipfian -theta 0.99 -keys 10000 -mix get=50,put=44,del=5,scan=1 \
+	    || { kill $$pid; exit 1; }; \
+	  kill -INT $$pid; wait $$pid || { echo "smoke: kvserver -reclaim $$s failed its drain"; exit 1; }; \
+	done
 
 # Observability smoke: serve with -metrics, put load through, scrape
 # /metrics (text and JSON) and assert the per-scheme reclamation gauges
@@ -93,7 +100,7 @@ metrics-smoke:
 	./bin/kvserver -addr 127.0.0.1:7199 -reclaim hp -metrics 127.0.0.1:7198 & \
 	pid=$$!; sleep 1; \
 	./bin/kvload -addr 127.0.0.1:7199 -conns 4 -duration 2s -warmup 200ms \
-	  -dist uniform -keys 10000 -out '' || { kill $$pid; exit 1; }; \
+	  -dist uniform -keys 10000 || { kill $$pid; exit 1; }; \
 	curl -fsS http://127.0.0.1:7198/metrics > /tmp/metrics.txt || { kill $$pid; exit 1; }; \
 	curl -fsS 'http://127.0.0.1:7198/metrics?format=json' > /tmp/metrics.json || { kill $$pid; exit 1; }; \
 	for key in 'reclaim/shard0/map/retired' 'reclaim/shard0/map/freed' \
@@ -163,24 +170,6 @@ overload-smoke:
 	$(GO) build -race -o bin/kvload ./cmd/kvload
 	sh scripts/overload_smoke.sh
 
-# Measure proxy overhead and scaling vs a direct connection and
-# refresh BENCH_cluster.json (direct-1, proxy-1, proxy-2, proxy-3).
-bench-cluster:
-	$(GO) build -o bin/kvserver ./cmd/kvserver
-	$(GO) build -o bin/kvload ./cmd/kvload
-	$(GO) build -o bin/kvproxy ./cmd/kvproxy
-	sh scripts/bench_cluster.sh
-
-# CI-sized bench-cluster: same sweep, 3s per point, results to /tmp so
-# the checked-in BENCH_cluster.json only changes when refreshed
-# deliberately. Acts as an end-to-end smoke for the proxy fast path
-# (any stall, leak, or ordering bug surfaces as errs > 0 here).
-bench-cluster-short:
-	$(GO) build -o bin/kvserver ./cmd/kvserver
-	$(GO) build -o bin/kvload ./cmd/kvload
-	$(GO) build -o bin/kvproxy ./cmd/kvproxy
-	OUT=/tmp/BENCH_cluster_short.json DUR=3s WARMUP=500ms sh scripts/bench_cluster.sh
-
 # Capture a 10s CPU profile of kvproxy under load (bin/kvproxy +
 # /debug/pprof via -pprof); see scripts/profile_cluster.sh.
 profile-cluster:
@@ -188,21 +177,6 @@ profile-cluster:
 	$(GO) build -o bin/kvload ./cmd/kvload
 	$(GO) build -o bin/kvproxy ./cmd/kvproxy
 	sh scripts/profile_cluster.sh
-
-# Sweep every reclamation scheme through the loopback service and
-# refresh BENCH_kv.json (throughput + latency percentiles + drain leak
-# report per scheme).
-bench-kv:
-	$(GO) build -o bin/kvserver ./cmd/kvserver
-	$(GO) build -o bin/kvload ./cmd/kvload
-	for s in orcgc none hp ptb ptp ebr he ibr; do \
-	  ./bin/kvserver -addr 127.0.0.1:7199 -reclaim $$s & \
-	  pid=$$!; sleep 1; \
-	  ./bin/kvload -addr 127.0.0.1:7199 -conns 8 -duration 3s -warmup 1s \
-	    -dist zipfian -theta 0.99 -keys 50000 -mix get=50,put=44,del=5,scan=1 \
-	    -drain -out BENCH_kv.json || { kill $$pid; exit 1; }; \
-	  kill -INT $$pid; wait $$pid || exit 1; \
-	done
 
 clean:
 	$(GO) clean ./...

@@ -20,9 +20,10 @@
 // connection keeps -pipeline requests in flight and latency is measured
 // from the actual send.
 //
-// Results append into -out (default BENCH_kv.json), keyed by -label
-// (default: the server's scheme, fetched via STATS), so a sweep over
-// schemes accumulates one comparable document.
+// The run ends in one summary line on stdout, led by the server's
+// scheme (fetched via STATS). Every connection records into one shared
+// obs.Hist; only post-warmup, accepted ops count toward throughput and
+// the percentiles.
 package main
 
 import (
@@ -33,15 +34,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/kvstore"
+	"repro/internal/obs"
 )
 
 type mix struct {
@@ -84,7 +84,6 @@ type inflight struct {
 }
 
 type connResult struct {
-	hist    bench.Hist
 	ops     uint64
 	errs    uint64
 	shed    uint64 // ops refused with StatusOverloaded
@@ -93,8 +92,9 @@ type connResult struct {
 
 // runConn drives one connection until deadline. Sends and receives run
 // in separate goroutines (the client's pipelining contract), coupled by
-// the inflight queue.
-func runConn(addr string, opts []kvstore.Option, id int, seed int64, deadline time.Time, warmupUntil time.Time,
+// the inflight queue. Post-warmup latencies go to hist, shared by every
+// connection.
+func runConn(addr string, opts []kvstore.Option, hist *obs.Hist, seed int64, deadline time.Time, warmupUntil time.Time,
 	m mix, dist string, theta float64, keys uint64, scanLen uint32,
 	interval time.Duration, pipeline int, budget time.Duration) (connResult, error) {
 
@@ -159,7 +159,7 @@ func runConn(addr string, opts []kvstore.Option, id int, seed int64, deadline ti
 			}
 			res.ops++
 			if now := time.Now(); now.After(warmupUntil) {
-				res.hist.RecordDur(now.Sub(f.sched))
+				hist.Observe(uint64(now.Sub(f.sched)))
 			}
 		}
 	}()
@@ -230,32 +230,6 @@ func runConn(addr string, opts []kvstore.Option, id int, seed int64, deadline ti
 	return res, recvErr
 }
 
-// Report is one kvload run, keyed into BENCH_kv.json by Label.
-type Report struct {
-	Label        string               `json:"label"`
-	Scheme       string               `json:"scheme"`
-	Conns        int                  `json:"conns"`
-	RatePerSec   float64              `json:"rate_per_sec"` // 0 = closed loop
-	Pipeline     int                  `json:"pipeline,omitempty"`
-	Duration     string               `json:"duration"`
-	Dist         string               `json:"dist"`
-	Theta        float64              `json:"theta,omitempty"`
-	Keys         uint64               `json:"keys"`
-	Mix          string               `json:"mix"`
-	ScanLen      uint32               `json:"scan_len"`
-	Budget       string               `json:"budget,omitempty"`
-	Ops          uint64               `json:"ops"`
-	Errors       uint64               `json:"errors"`
-	Shed         uint64               `json:"shed,omitempty"`
-	Expired      uint64               `json:"deadline_exceeded,omitempty"`
-	HedgesFired  uint64               `json:"hedges_fired,omitempty"`
-	HedgedWins   uint64               `json:"hedged_wins,omitempty"`
-	ThroughputPS float64              `json:"throughput_ops_per_sec"`
-	Latency      bench.LatSummary     `json:"latency_us"`
-	Stats        *kvstore.Stats       `json:"server_stats,omitempty"`
-	Drain        *kvstore.DrainReport `json:"drain,omitempty"`
-}
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "server address, or a comma-separated list round-robined across -conns")
 	conns := flag.Int("conns", 8, "concurrent connections")
@@ -269,9 +243,7 @@ func main() {
 	mixFlag := flag.String("mix", "get=50,put=45,del=4,scan=1", "op mix, weights summing to 100")
 	scanLen := flag.Uint("scanlen", 16, "keys per scan")
 	preload := flag.Bool("preload", true, "insert the whole keyspace before the run")
-	drain := flag.Bool("drain", false, "send DRAIN after the run and record the leak report")
-	label := flag.String("label", "", "result key in -out (default: server scheme)")
-	out := flag.String("out", "BENCH_kv.json", "merge results into this JSON file ('' = stdout only)")
+	drain := flag.Bool("drain", false, "send DRAIN after the run; a failed leak check is reported on stderr")
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "TCP connect timeout")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-read/per-flush timeout (0 = none)")
@@ -314,9 +286,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kvload: STATS: %v\n", err)
 		os.Exit(1)
 	}
-	if *label == "" {
-		*label = stats.Scheme
-	}
 
 	if *preload {
 		n := uint64(0)
@@ -346,6 +315,7 @@ func main() {
 	warmupUntil := time.Now().Add(*warmup)
 	deadline := warmupUntil.Add(*duration)
 
+	var hist obs.Hist
 	results := make([]connResult, *conns)
 	errs := make([]error, *conns)
 	var wg sync.WaitGroup
@@ -353,76 +323,43 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = runConn(addrs[i%len(addrs)], opts, i, *seed+int64(i)*7919, deadline, warmupUntil,
+			results[i], errs[i] = runConn(addrs[i%len(addrs)], opts, &hist, *seed+int64(i)*7919, deadline, warmupUntil,
 				m, *dist, *theta, *keys, uint32(*scanLen), interval, *pipeline, *budget)
 		}(i)
 	}
 	wg.Wait()
 
-	rep := Report{
-		Label: *label, Scheme: stats.Scheme,
-		Conns: *conns, RatePerSec: *rate,
-		Duration: duration.String(), Dist: *dist, Keys: *keys,
-		Mix: *mixFlag, ScanLen: uint32(*scanLen),
-	}
-	if *dist == "zipfian" {
-		rep.Theta = *theta
-	}
-	if *rate == 0 {
-		rep.Pipeline = *pipeline
-	}
-	if *budget > 0 {
-		rep.Budget = budget.String()
-	}
-	var hist bench.Hist
+	var total connResult
 	for i := range results {
 		if errs[i] != nil {
 			fmt.Fprintf(os.Stderr, "kvload: conn %d: %v\n", i, errs[i])
-			rep.Errors++
+			total.errs++
 		}
-		hist.Merge(&results[i].hist)
-		rep.Ops += results[i].ops
-		rep.Errors += results[i].errs
-		rep.Shed += results[i].shed
-		rep.Expired += results[i].expired
+		total.ops += results[i].ops
+		total.errs += results[i].errs
+		total.shed += results[i].shed
+		total.expired += results[i].expired
 	}
-	rep.ThroughputPS = float64(hist.Count()) / duration.Seconds()
-	rep.Latency = hist.Summary()
+	lat := hist.Summary()
+	hedged := ""
 	if isProxy {
 		if hedge1, wins1, ok := hedgeCounters(ctl); ok {
-			rep.HedgesFired = hedge1 - hedge0
-			rep.HedgedWins = wins1 - wins0
+			hedged = fmt.Sprintf(", %d/%d hedge wins", wins1-wins0, hedge1-hedge0)
 		}
 	}
-
-	if st, err := ctl.Stats(context.Background()); err == nil {
-		st.Sides = nil // per-index detail is noise in the report
-		rep.Stats = &st
-	}
 	if *drain {
-		if dr, err := ctl.Drain(context.Background()); err == nil {
-			rep.Drain = &dr
-		} else {
+		if dr, err := ctl.Drain(context.Background()); err != nil {
 			fmt.Fprintf(os.Stderr, "kvload: DRAIN: %v\n", err)
+		} else if !dr.LeakOK {
+			fmt.Fprintf(os.Stderr, "kvload: DRAIN: leak check failed: %+v\n", dr)
 		}
 	}
 	ctl.Close()
 
-	hedged := ""
-	if isProxy {
-		hedged = fmt.Sprintf(", %d/%d hedge wins", rep.HedgedWins, rep.HedgesFired)
-	}
 	fmt.Printf("%-8s %8.0f ops/s  p50 %.1fus  p99 %.1fus  p999 %.1fus  (%d ops, %d errs, %d shed, %d expired%s)\n",
-		rep.Label, rep.ThroughputPS,
-		rep.Latency.P50Us, rep.Latency.P99Us, rep.Latency.P999Us,
-		rep.Ops, rep.Errors, rep.Shed, rep.Expired, hedged)
-
-	if *out != "" {
-		if err := mergeReport(*out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "kvload: writing %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-	}
+		stats.Scheme, float64(lat.Count)/duration.Seconds(),
+		lat.P50Us, lat.P99Us, lat.P999Us,
+		total.ops, total.errs, total.shed, total.expired, hedged)
 }
 
 // hedgeCounters reads the target's hedge counters via CLUSTER_INFO. A
@@ -441,29 +378,4 @@ func hedgeCounters(cl *kvstore.Client) (fired, wins uint64, ok bool) {
 		return 0, 0, false
 	}
 	return info.HedgesFired, info.HedgeWins, true
-}
-
-// mergeReport updates path in place, keeping one entry per label so a
-// sweep over schemes accumulates a single comparable document.
-func mergeReport(path string, rep Report) error {
-	byLabel := map[string]Report{}
-	if b, err := os.ReadFile(path); err == nil {
-		var old []Report
-		if json.Unmarshal(b, &old) == nil {
-			for _, r := range old {
-				byLabel[r.Label] = r
-			}
-		}
-	}
-	byLabel[rep.Label] = rep
-	labels := make([]string, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	all := make([]Report, 0, len(labels))
-	for _, l := range labels {
-		all = append(all, byLabel[l])
-	}
-	return bench.WriteJSON(path, all)
 }

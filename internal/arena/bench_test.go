@@ -1,158 +1,24 @@
-// Allocator microbenchmark suite: the sharded/magazine allocator of this
-// package measured against an in-file replica of the seed's single-free-
-// list design (one global Treiber stack, div/mod slot addressing, global
-// counters with a maxLive CAS loop). Benchmark* functions serve
-// `go test -bench`; TestAllocBenchReport (gated on ALLOC_BENCH=1) runs a
-// fixed-work comparison and records the numbers in BENCH_alloc.json at
-// the repo root.
+// Allocator microbenchmarks for `go test -bench`: tight single-thread
+// alloc/free pairs, and churn over a private window of live objects at
+// several goroutine counts. The end-to-end and per-layer numbers
+// (arena.alloc_free_ns, arena.mag_hit_ratio) come from benchmark/.
 package arena_test
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
-	"repro/internal/bench"
 )
 
 type benchNode struct{ Key uint64 }
 
-// ---------------------------------------------------------------------------
-// Baseline: the seed allocator, reproduced verbatim in miniature.
-
-const (
-	baseChunkSize = 1 << 12
-	baseMaxChunks = 1 << 14
-	baseIdxNone   = ^uint32(0)
-)
-
-type baseSlot struct {
-	gen      atomic.Uint32
-	state    atomic.Uint32
-	freeNext atomic.Uint32
-	_        uint32
-	hdrA     atomic.Uint64
-	hdrB     atomic.Uint64
-	val      benchNode
-}
-
-type baseChunk struct{ slots []baseSlot }
-
-type baselineArena struct {
-	chunkSize uint32 // a runtime value, as in the seed: slotAt divides
-
-	next     atomic.Uint64
-	freeHead atomic.Uint64 // packed (aba:32, idx:32)
-
-	allocs  atomic.Uint64
-	frees   atomic.Uint64
-	live    atomic.Int64
-	maxLive atomic.Int64
-
-	chunks [baseMaxChunks]atomic.Pointer[baseChunk]
-}
-
-func newBaseline() *baselineArena {
-	b := &baselineArena{chunkSize: baseChunkSize}
-	b.next.Store(1)
-	b.freeHead.Store(uint64(baseIdxNone))
-	return b
-}
-
-func (b *baselineArena) slotAt(idx uint32) *baseSlot {
-	ch := b.chunks[idx/b.chunkSize].Load()
-	if ch == nil {
-		return nil
-	}
-	return &ch.slots[idx%b.chunkSize]
-}
-
-func (b *baselineArena) ensureChunk(c uint32) {
-	if b.chunks[c].Load() != nil {
-		return
-	}
-	b.chunks[c].CompareAndSwap(nil, &baseChunk{slots: make([]baseSlot, b.chunkSize)})
-}
-
-func (b *baselineArena) popFree() uint32 {
-	for {
-		old := b.freeHead.Load()
-		aba, idx := uint32(old>>32), uint32(old)
-		if idx == baseIdxNone {
-			return baseIdxNone
-		}
-		sl := b.slotAt(idx)
-		if sl == nil {
-			runtime.Gosched()
-			continue
-		}
-		next := sl.freeNext.Load()
-		if b.freeHead.CompareAndSwap(old, uint64(aba+1)<<32|uint64(next)) {
-			return idx
-		}
-	}
-}
-
-func (b *baselineArena) alloc() uint32 {
-	idx := b.popFree()
-	if idx == baseIdxNone {
-		idx = uint32(b.next.Add(1) - 1)
-		b.ensureChunk(idx / b.chunkSize)
-	}
-	s := b.slotAt(idx)
-	if !s.state.CompareAndSwap(0, 1) {
-		panic("baseline: double alloc")
-	}
-	if s.gen.Load() == 0 {
-		s.gen.Store(1)
-	}
-	s.val = benchNode{}
-	s.hdrA.Store(0)
-	s.hdrB.Store(0)
-	b.allocs.Add(1)
-	l := b.live.Add(1)
-	for {
-		m := b.maxLive.Load()
-		if l <= m || b.maxLive.CompareAndSwap(m, l) {
-			break
-		}
-	}
-	return idx
-}
-
-func (b *baselineArena) free(idx uint32) {
-	s := b.slotAt(idx)
-	s.val = benchNode{}
-	s.gen.Store(s.gen.Load() + 1)
-	if !s.state.CompareAndSwap(1, 0) {
-		panic("baseline: double free")
-	}
-	for {
-		old := b.freeHead.Load()
-		aba, head := uint32(old>>32), uint32(old)
-		s.freeNext.Store(head)
-		if b.freeHead.CompareAndSwap(old, uint64(aba+1)<<32|uint64(idx)) {
-			break
-		}
-	}
-	b.frees.Add(1)
-	b.live.Add(-1)
-}
-
-// ---------------------------------------------------------------------------
-// Shared churn harness. Handles travel as uint64 so one harness drives
-// both allocators.
-
 const churnWindow = 48
 
 // churn runs workers goroutines, each performing iters alloc/free pairs
-// over a private window of live objects, and returns the wall-clock time.
-func churn(workers, iters int, alloc func(tid int) uint64, free func(tid int, h uint64)) time.Duration {
+// over a private window of live objects.
+func churn(a *arena.Arena[benchNode], workers, iters int) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for w := 0; w < workers; w++ {
@@ -160,164 +26,38 @@ func churn(workers, iters int, alloc func(tid int) uint64, free func(tid int, h 
 		go func(tid int) {
 			defer wg.Done()
 			<-start
-			held := make([]uint64, churnWindow)
+			held := make([]arena.Handle, churnWindow)
 			for i := range held {
-				held[i] = alloc(tid)
+				held[i], _ = a.AllocT(tid)
 			}
 			seed := uint64(tid)*2654435769 + 1
 			for i := 0; i < iters; i++ {
 				seed = seed*6364136223846793005 + 1442695040888963407
 				j := int(seed>>33) % churnWindow
-				free(tid, held[j])
-				held[j] = alloc(tid)
+				a.FreeT(tid, held[j])
+				held[j], _ = a.AllocT(tid)
 			}
 			for _, h := range held {
-				free(tid, h)
+				a.FreeT(tid, h)
 			}
 		}(w)
 	}
-	t0 := time.Now()
 	close(start)
 	wg.Wait()
-	return time.Since(t0)
 }
-
-func shardedFns(a *arena.Arena[benchNode]) (func(int) uint64, func(int, uint64)) {
-	return func(tid int) uint64 { h, _ := a.AllocT(tid); return uint64(h) },
-		func(tid int, h uint64) { a.FreeT(tid, arena.Handle(h)) }
-}
-
-func baselineFns(b *baselineArena) (func(int) uint64, func(int, uint64)) {
-	return func(int) uint64 { return uint64(b.alloc()) },
-		func(_ int, h uint64) { b.free(uint32(h)) }
-}
-
-// ---------------------------------------------------------------------------
-// go test -bench entry points.
 
 func BenchmarkAllocFreeSingle(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) {
-		a := arena.New[benchNode]()
-		for i := 0; i < b.N; i++ {
-			h, _ := a.AllocT(0)
-			a.FreeT(0, h)
-		}
-	})
-	b.Run("baseline", func(b *testing.B) {
-		ba := newBaseline()
-		for i := 0; i < b.N; i++ {
-			ba.free(ba.alloc())
-		}
-	})
+	a := arena.New[benchNode]()
+	for i := 0; i < b.N; i++ {
+		h, _ := a.AllocT(0)
+		a.FreeT(0, h)
+	}
 }
 
 func BenchmarkChurn(b *testing.B) {
 	for _, g := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("sharded/g%d", g), func(b *testing.B) {
-			a := arena.New[benchNode]()
-			al, fr := shardedFns(a)
-			churn(g, b.N/g+1, al, fr)
+		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
+			churn(arena.New[benchNode](), g, b.N/g+1)
 		})
-		b.Run(fmt.Sprintf("baseline/g%d", g), func(b *testing.B) {
-			ba := newBaseline()
-			al, fr := baselineFns(ba)
-			churn(g, b.N/g+1, al, fr)
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Fixed-work comparison recorded in BENCH_alloc.json.
-
-type churnRow struct {
-	Goroutines   int     `json:"goroutines"`
-	BaselineMops float64 `json:"baseline_mops"`
-	ShardedMops  float64 `json:"sharded_mops"`
-	Speedup      float64 `json:"speedup"`
-}
-
-type allocReport struct {
-	Benchmark    string `json:"benchmark"`
-	GOOS         string `json:"goos"`
-	GOARCH       string `json:"goarch"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	Window       int    `json:"window"`
-	PairsPerRun  int    `json:"pairs_per_run"`
-	SingleThread struct {
-		BaselineNsPerPair float64 `json:"baseline_ns_per_pair"`
-		ShardedNsPerPair  float64 `json:"sharded_ns_per_pair"`
-		Ratio             float64 `json:"sharded_over_baseline"`
-	} `json:"single_thread"`
-	Churn []churnRow `json:"churn"`
-}
-
-// bestMops runs the churn workload three times on fresh allocators and
-// returns the best throughput in million alloc/free pairs per second.
-func bestMops(workers, pairs int, fresh func() (func(int) uint64, func(int, uint64))) float64 {
-	best := 0.0
-	for run := 0; run < 3; run++ {
-		al, fr := fresh()
-		d := churn(workers, pairs/workers, al, fr)
-		if m := float64(pairs) / d.Seconds() / 1e6; m > best {
-			best = m
-		}
-	}
-	return best
-}
-
-func TestAllocBenchReport(t *testing.T) {
-	if os.Getenv("ALLOC_BENCH") == "" {
-		t.Skip("set ALLOC_BENCH=1 to run the timed allocator comparison and write BENCH_alloc.json")
-	}
-	const pairs = 1 << 21
-
-	rep := allocReport{
-		Benchmark:   "arena alloc/free churn: sharded+magazines vs seed single free list",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Window:      churnWindow,
-		PairsPerRun: pairs,
-	}
-
-	// Single-thread latency: tight alloc/free pairs, no goroutines.
-	single := func(al func(int) uint64, fr func(int, uint64)) float64 {
-		for i := 0; i < 1<<16; i++ { // warm the free path
-			fr(0, al(0))
-		}
-		t0 := time.Now()
-		for i := 0; i < pairs; i++ {
-			fr(0, al(0))
-		}
-		return float64(time.Since(t0).Nanoseconds()) / float64(pairs)
-	}
-	{
-		al, fr := baselineFns(newBaseline())
-		rep.SingleThread.BaselineNsPerPair = single(al, fr)
-	}
-	{
-		al, fr := shardedFns(arena.New[benchNode]())
-		rep.SingleThread.ShardedNsPerPair = single(al, fr)
-	}
-	rep.SingleThread.Ratio = rep.SingleThread.ShardedNsPerPair / rep.SingleThread.BaselineNsPerPair
-	t.Logf("single-thread: baseline %.1f ns/pair, sharded %.1f ns/pair (ratio %.3f)",
-		rep.SingleThread.BaselineNsPerPair, rep.SingleThread.ShardedNsPerPair, rep.SingleThread.Ratio)
-
-	for _, g := range []int{1, 4, 16, 64} {
-		row := churnRow{Goroutines: g}
-		row.BaselineMops = bestMops(g, pairs, func() (func(int) uint64, func(int, uint64)) {
-			return baselineFns(newBaseline())
-		})
-		row.ShardedMops = bestMops(g, pairs, func() (func(int) uint64, func(int, uint64)) {
-			return shardedFns(arena.New[benchNode]())
-		})
-		row.Speedup = row.ShardedMops / row.BaselineMops
-		rep.Churn = append(rep.Churn, row)
-		t.Logf("churn g=%-2d: baseline %7.2f Mops, sharded %7.2f Mops (%.2fx)",
-			g, row.BaselineMops, row.ShardedMops, row.Speedup)
-	}
-
-	if err := bench.WriteJSON("../../BENCH_alloc.json", rep); err != nil {
-		t.Fatalf("writing BENCH_alloc.json: %v", err)
 	}
 }

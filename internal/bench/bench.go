@@ -205,20 +205,12 @@ var (
 	MixRO    = Mix{InsertPct: 0, RemovePct: 0}
 )
 
-// Result of one measurement point. Lat aggregates sampled per-operation
-// latencies (one sample every latSampleMask+1 ops per thread, merged
-// across threads and runs) into the shared HDR-style histogram.
+// Result of one measurement point.
 type Result struct {
 	OpsPerSec float64
 	Runs      []float64
 	Mem       MemStats
-	Lat       *Hist
 }
-
-// latSampleMask selects which ops are individually timed: sampling one
-// op in 64 keeps the two clock reads off the common path while still
-// collecting tens of thousands of samples per second per thread.
-const latSampleMask = 63
 
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -263,7 +255,6 @@ func RunSet(factory func(threads int) SetInstance, threads int, keys uint64, mix
 	for gcd(stride, keys) != 1 {
 		stride += 2
 	}
-	res.Lat = &Hist{}
 	for r := 0; r < runs; r++ {
 		inst := factory(threads)
 		for i := uint64(0); i < keys; i++ {
@@ -273,7 +264,6 @@ func RunSet(factory func(threads int) SetInstance, threads int, keys uint64, mix
 			}
 		}
 		ops := make([]rt.PaddedUint64, threads)
-		hists := make([]Hist, threads)
 		var stop atomic.Bool
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {
@@ -281,17 +271,11 @@ func RunSet(factory func(threads int) SetInstance, threads int, keys uint64, mix
 			go func(tid int) {
 				defer wg.Done()
 				rng := pcg{s: uint64(tid)*0x9E3779B97F4A7C15 + uint64(r) + 1}
-				h := &hists[tid]
 				n := uint64(0)
 				for !stop.Load() {
 					x := rng.next()
 					k := x%keys + 1
 					p := int((x >> 32) % 100)
-					sample := n&latSampleMask == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
 					switch {
 					case p < mix.InsertPct:
 						inst.Set.Insert(tid, k)
@@ -299,9 +283,6 @@ func RunSet(factory func(threads int) SetInstance, threads int, keys uint64, mix
 						inst.Set.Remove(tid, k)
 					default:
 						inst.Set.Contains(tid, k)
-					}
-					if sample {
-						h.RecordDur(time.Since(t0))
 					}
 					n++
 				}
@@ -318,9 +299,6 @@ func RunSet(factory func(threads int) SetInstance, threads int, keys uint64, mix
 			total += ops[i].Load()
 		}
 		res.Runs = append(res.Runs, float64(total)/elapsed)
-		for i := range hists {
-			res.Lat.Merge(&hists[i])
-		}
 		if inst.Mem != nil {
 			res.Mem = inst.Mem()
 		}
@@ -331,14 +309,12 @@ func RunSet(factory func(threads int) SetInstance, threads int, keys uint64, mix
 
 // RunQueuePairs measures a queue subject with the paper's queue
 // workload: every thread performs enqueue/dequeue pairs for dur.
-// Throughput counts individual operations (2 per pair); sampled pair
-// latencies land in Result.Lat.
+// Throughput counts individual operations (2 per pair).
 func RunQueuePairs(factory func(threads int) QueueInstance, threads int, dur time.Duration, runs int) Result {
 	if runs <= 0 {
 		runs = 1
 	}
 	var res Result
-	res.Lat = &Hist{}
 	for r := 0; r < runs; r++ {
 		inst := factory(threads)
 		// Seed a little so dequeues don't always race an empty queue.
@@ -346,27 +322,17 @@ func RunQueuePairs(factory func(threads int) QueueInstance, threads int, dur tim
 			inst.Queue.Enqueue(0, i)
 		}
 		ops := make([]rt.PaddedUint64, threads)
-		hists := make([]Hist, threads)
 		var stop atomic.Bool
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {
 			wg.Add(1)
 			go func(tid int) {
 				defer wg.Done()
-				h := &hists[tid]
 				n := uint64(0)
 				v := uint64(tid + 1)
 				for !stop.Load() {
-					sample := n&latSampleMask == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
 					inst.Queue.Enqueue(tid, v&0xFFFFFF)
 					inst.Queue.Dequeue(tid)
-					if sample {
-						h.RecordDur(time.Since(t0))
-					}
 					v++
 					n += 2
 				}
@@ -383,9 +349,6 @@ func RunQueuePairs(factory func(threads int) QueueInstance, threads int, dur tim
 			total += ops[i].Load()
 		}
 		res.Runs = append(res.Runs, float64(total)/elapsed)
-		for i := range hists {
-			res.Lat.Merge(&hists[i])
-		}
 		if inst.Mem != nil {
 			res.Mem = inst.Mem()
 		}

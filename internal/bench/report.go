@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -67,15 +66,4 @@ func WriteTSV(dir, name string, series []Series) error {
 		b.WriteByte('\n')
 	}
 	return os.WriteFile(filepath.Join(dir, name+".tsv"), []byte(b.String()), 0o644)
-}
-
-// WriteJSON persists a report structure as indented JSON — the machinery
-// behind the BENCH_*.json artifacts (e.g. the allocator microbenchmarks
-// in BENCH_alloc.json).
-func WriteJSON(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

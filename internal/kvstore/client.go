@@ -187,23 +187,11 @@ func jitterBackoff(d time.Duration, u float64) time.Duration {
 // already knows to be the last — exhausted retries (by count or by
 // WithRetryBudget) return promptly with the last dial error wrapped
 // (errors.Unwrap recovers the net error).
-func Dial(addr string, opts ...Option) (*Client, error) {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
+func Dial(addr string, options ...Option) (*Client, error) {
+	var opts Options
+	for _, opt := range options {
+		opt(&opts)
 	}
-	return dial(addr, o)
-}
-
-// DialWith connects with an explicit Options struct.
-//
-// Deprecated: use Dial with functional options; DialWith(addr, o) is
-// exactly Dial with one option per set field.
-func DialWith(addr string, opts Options) (*Client, error) {
-	return dial(addr, opts)
-}
-
-func dial(addr string, opts Options) (*Client, error) {
 	backoff := opts.DialBackoff
 	if backoff <= 0 {
 		backoff = 50 * time.Millisecond

@@ -240,11 +240,9 @@ func TestDialWithRetry(t *testing.T) {
 		}
 	})
 
-	// Through the deprecated DialWith shim on purpose: the struct form
-	// must keep working for old callers.
-	cl, err := DialWith(addr, Options{DialRetries: 8, DialBackoff: 40 * time.Millisecond})
+	cl, err := Dial(addr, WithRetries(8), WithRetryBackoff(40*time.Millisecond))
 	if err != nil {
-		t.Fatalf("DialWith never reached the late server: %v", err)
+		t.Fatalf("Dial never reached the late server: %v", err)
 	}
 	if ins, err := cl.Put(ctx, 7, 7); err != nil || !ins {
 		t.Fatalf("put through retried dial: %v %v", ins, err)

@@ -2,12 +2,12 @@ package obs
 
 import "math/bits"
 
-// Log-bucketed histogram layout shared by obs.Hist (concurrent, scraped
-// by /metrics) and bench.Hist (single-writer, merged at quiescence).
-// This is the HDR-style geometry introduced with the kv latency work:
-// HistSubBits bits of sub-bucket resolution per octave give a bounded
-// ~3% relative error at every magnitude while covering the full uint64
-// nanosecond range in a few KB.
+// Log-bucketed histogram layout of Hist, the repo's one latency
+// histogram: kvserver's per-op latencies, the proxy's backend RTTs, the
+// schemes' retire→free and scan times, and kvload's summary line all
+// record into it. HistSubBits bits of sub-bucket resolution per octave
+// give a bounded ~3% relative error at every magnitude while covering
+// the full uint64 nanosecond range in a few KB.
 const (
 	// HistSubBits is the sub-bucket resolution: 2^HistSubBits buckets
 	// per octave → ≤3.1% relative error.

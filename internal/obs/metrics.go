@@ -98,9 +98,9 @@ func (g *Gauge) Max() int64 {
 	return g.max.Load()
 }
 
-// Hist is a concurrent log-bucketed histogram sharing bench.Hist's
-// geometry (see buckets.go) with atomic cells, so any thread may Observe
-// while /metrics scrapes. Nil-safe like the other handles.
+// Hist is a concurrent log-bucketed histogram (geometry in buckets.go)
+// with atomic cells, so any number of goroutines may Observe into one
+// Hist while /metrics scrapes it. Nil-safe like the other handles.
 type Hist struct {
 	counts [HistBuckets]atomic.Uint64
 	total  atomic.Uint64
@@ -133,7 +133,7 @@ func (h *Hist) Count() uint64 {
 }
 
 // HistSummary is the JSON-ready digest of a Hist, in microseconds (the
-// resolution BENCH_kv.json and the figure tables report).
+// resolution kvload's summary line and the /metrics JSON report).
 type HistSummary struct {
 	Count  uint64  `json:"count"`
 	MeanUs float64 `json:"mean_us"`

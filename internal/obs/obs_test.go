@@ -2,7 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -51,7 +54,7 @@ func TestNoOpPath(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
-	if h.Summary().Count != 0 {
+	if h.Summary() != (HistSummary{}) {
 		t.Fatal("nil hist summary must be empty")
 	}
 	if reg.Snapshot() != nil {
@@ -88,6 +91,9 @@ func TestGaugeMax(t *testing.T) {
 // geometry's error bound (≤ ~3.1% per octave) on known data.
 func TestHistQuantiles(t *testing.T) {
 	h := NewRegistry().Hist("lat")
+	if s := h.Summary(); s != (HistSummary{}) {
+		t.Fatalf("empty hist summary not zero: %+v", s)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -117,6 +123,77 @@ func TestHistQuantiles(t *testing.T) {
 		if HistBucketOf(mid) != b {
 			t.Fatalf("bucket midpoint %d of %d maps to a different bucket", mid, v)
 		}
+	}
+}
+
+// TestHistConcurrentObserve: goroutines observing disjoint streams into
+// one shared Hist must summarize exactly like one goroutine observing the
+// concatenation. kvload records every connection into one Hist and relies
+// on this: no observation, sum or max may be lost to a race. A lost update
+// shows only when two writers collide inside the window, so a broken
+// Observe fails some runs, not every run.
+func TestHistConcurrentObserve(t *testing.T) {
+	const workers, perWorker = 8, 1 << 15
+	streams := make([][]uint64, workers)
+	var concat Hist
+	for w := range streams {
+		next := propRng(uint64(w) + 1)
+		for i := 0; i < perWorker; i++ {
+			// Shift spreads observations across every magnitude, so the
+			// linear region and low and high octaves all take part.
+			v := next() >> (next() % 60)
+			streams[w] = append(streams[w], v)
+			concat.Observe(v)
+		}
+	}
+	var shared Hist
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, stream := range streams {
+		wg.Add(1)
+		go func(stream []uint64) {
+			defer wg.Done()
+			<-start
+			for _, v := range stream {
+				shared.Observe(v)
+			}
+		}(stream)
+	}
+	close(start)
+	wg.Wait()
+	if a, b := shared.Summary(), concat.Summary(); a != b {
+		t.Fatalf("summaries diverge:\nshared: %+v\nconcat: %+v", a, b)
+	}
+	if shared.Count() != workers*perWorker {
+		t.Fatalf("count %d, want %d", shared.Count(), workers*perWorker)
+	}
+}
+
+// TestHistRelativeError: on log-uniform data spanning nanoseconds to
+// minutes, every reported quantile is within 5% of the exact one, and the
+// maximum is exact.
+func TestHistRelativeError(t *testing.T) {
+	var h Hist
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]uint64, 0, 20000)
+	for i := 0; i < 20000; i++ {
+		v := uint64(math.Exp(rng.Float64()*25)) + 1
+		vals = append(vals, v)
+		h.Observe(v)
+	}
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	s := h.Summary()
+	for _, c := range []struct {
+		q   float64
+		got float64
+	}{{0.5, s.P50Us}, {0.9, s.P90Us}, {0.99, s.P99Us}, {0.999, s.P999Us}} {
+		exact := float64(vals[int(c.q*float64(len(vals)))]) / 1e3
+		if relErr := math.Abs(c.got-exact) / exact; relErr > 0.05 {
+			t.Errorf("q=%v: got %.3fus exact %.3fus relErr %.3f", c.q, c.got, exact, relErr)
+		}
+	}
+	if s.Count != 20000 || s.MaxUs != float64(vals[len(vals)-1])/1e3 {
+		t.Fatalf("count %d max %.3fus, want 20000 and %.3fus", s.Count, s.MaxUs, float64(vals[len(vals)-1])/1e3)
 	}
 }
 

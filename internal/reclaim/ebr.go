@@ -23,7 +23,7 @@ type ebrItem struct {
 type EBR struct {
 	counters
 	env Env
-	cfg Config
+	cfg Options
 
 	global       atomic.Uint64
 	reservations []rt.PaddedUint64

@@ -24,7 +24,7 @@ import (
 type HE struct {
 	counters
 	env Env
-	cfg Config
+	cfg Options
 
 	clock   atomic.Uint64
 	eras    [][]atomic.Uint64 // published eras, 0 = none

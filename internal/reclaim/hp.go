@@ -136,7 +136,7 @@ func (a *hpArrays) getProtected(tid, idx int, addr *atomic.Uint64) arena.Handle 
 type HP struct {
 	counters
 	env Env
-	cfg Config
+	cfg Options
 	hp  *hpArrays
 	// per-thread retired lists; single-owner, no synchronization
 	retired [][]arena.Handle

@@ -25,7 +25,7 @@ import (
 type IBR struct {
 	counters
 	env Env
-	cfg Config
+	cfg Options
 
 	clock   atomic.Uint64
 	lower   []rt.PaddedUint64 // 0 = inactive

@@ -22,7 +22,7 @@ import (
 type PTB struct {
 	counters
 	env     Env
-	cfg     Config
+	cfg     Options
 	hp      *hpArrays
 	boxes   [][]atomic.Uint64
 	pending [][]arena.Handle

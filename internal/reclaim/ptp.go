@@ -21,7 +21,7 @@ import (
 type PTP struct {
 	counters
 	env       Env
-	cfg       Config
+	cfg       Options
 	hp        *hpArrays
 	handovers [][]atomic.Uint64
 

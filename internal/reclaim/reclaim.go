@@ -72,12 +72,6 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Config is the former name of Options.
-//
-// Deprecated: use Options. Kept as an alias so pre-factory call sites
-// keep compiling for one PR.
-type Config = Options
-
 func (c *Options) defaults() {
 	if c.MaxThreads <= 0 {
 		c.MaxThreads = 64

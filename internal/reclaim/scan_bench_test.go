@@ -1,20 +1,12 @@
-// Scan-engine microbenchmark suite: the zero-allocation snapshot+probe
-// scan of this package measured against an in-file replica of the seed's
-// map-based scan (rebuild a map[Handle]struct{} of the published set on
-// every scan, probe by hash). Benchmark* functions serve `go test
-// -bench`; TestScanBenchReport (gated on SCAN_BENCH=1) runs a fixed-work
-// comparison across goroutine counts and records the numbers in
-// BENCH_scan.json at the repo root.
+// Scan-engine microbenchmarks for `go test -bench`: the zero-allocation
+// snapshot+probe retire scan, and the protection publish with and
+// without elision. The end-to-end and per-layer numbers
+// (reclaim.hp.scan_ns_total, reclaim.hp.protect_ns) come from benchmark/.
 package reclaim
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
 )
@@ -76,28 +68,6 @@ func (f *scanFixture) engineScan(e *scanEngine, tid int, list []arena.Handle) []
 	return keep
 }
 
-// mapScan is the seed's scan, reproduced in miniature: a fresh hash set
-// of the published values per scan.
-func (f *scanFixture) mapScan(list []arena.Handle) []arena.Handle {
-	set := make(map[arena.Handle]struct{}, f.threads*f.hps)
-	for t := 0; t < f.threads; t++ {
-		for i := 0; i < f.hps; i++ {
-			if p := f.hp.read(t, i); !p.IsNil() {
-				set[p] = struct{}{}
-			}
-		}
-	}
-	keep := list[:0]
-	for _, v := range list {
-		if _, ok := set[v]; ok {
-			keep = append(keep, v)
-			continue
-		}
-		f.free(v)
-	}
-	return keep
-}
-
 // ---------------------------------------------------------------------------
 // go test -bench entry points.
 
@@ -105,27 +75,15 @@ const benchBatch = 256
 
 func BenchmarkScan(b *testing.B) {
 	const threads, hps = 8, 8
-	b.Run("engine", func(b *testing.B) {
-		f := newScanFixture(threads, hps, benchBatch)
-		e := newScanEngine(threads, threads*hps, benchBatch)
-		list := make([]arena.Handle, benchBatch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(list[:benchBatch], f.template)
-			f.engineScan(e, 0, list[:benchBatch])
-		}
-	})
-	b.Run("map-baseline", func(b *testing.B) {
-		f := newScanFixture(threads, hps, benchBatch)
-		list := make([]arena.Handle, benchBatch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(list[:benchBatch], f.template)
-			f.mapScan(list[:benchBatch])
-		}
-	})
+	f := newScanFixture(threads, hps, benchBatch)
+	e := newScanEngine(threads, threads*hps, benchBatch)
+	list := make([]arena.Handle, benchBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(list, f.template)
+		f.engineScan(e, 0, list)
+	}
 }
 
 // BenchmarkProtectHop measures the protection publish: the elided path
@@ -155,136 +113,4 @@ func BenchmarkProtectHop(b *testing.B) {
 			s.GetProtected(0, 0, &slot)
 		}
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Fixed-work comparison recorded in BENCH_scan.json.
-
-type scanRow struct {
-	Goroutines    int     `json:"goroutines"`
-	BaselineMscan float64 `json:"baseline_mhandles_per_sec"`
-	EngineMscan   float64 `json:"engine_mhandles_per_sec"`
-	Speedup       float64 `json:"speedup"`
-}
-
-type scanReport struct {
-	Benchmark  string `json:"benchmark"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Threads    int    `json:"published_threads"`
-	HPs        int    `json:"published_hps"`
-	Batch      int    `json:"batch"`
-	ScansPerG  int    `json:"scans_per_goroutine"`
-	ProtectNs  struct {
-		Elided float64 `json:"elided_ns_per_op"`
-		Store  float64 `json:"store_ns_per_op"`
-	} `json:"protect"`
-	Scan []scanRow `json:"scan"`
-}
-
-// scanWork runs workers goroutines, each replaying the template through
-// scan `scans` times, and returns million handles examined per second.
-func scanWork(workers, scans int, run func(tid int, list []arena.Handle) []arena.Handle, template []arena.Handle) float64 {
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			list := make([]arena.Handle, len(template))
-			<-start
-			for i := 0; i < scans; i++ {
-				copy(list[:len(template)], template)
-				run(tid, list[:len(template)])
-			}
-		}(w)
-	}
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	d := time.Since(t0)
-	return float64(workers*scans*len(template)) / d.Seconds() / 1e6
-}
-
-func bestScanMops(workers, scans int, run func(tid int, list []arena.Handle) []arena.Handle, template []arena.Handle) float64 {
-	best := 0.0
-	for r := 0; r < 3; r++ {
-		if m := scanWork(workers, scans, run, template); m > best {
-			best = m
-		}
-	}
-	return best
-}
-
-func TestScanBenchReport(t *testing.T) {
-	if os.Getenv("SCAN_BENCH") == "" {
-		t.Skip("set SCAN_BENCH=1 to run the timed scan comparison and write BENCH_scan.json")
-	}
-	const threads, hps = 8, 8
-	const scans = 1 << 14
-
-	rep := scanReport{
-		Benchmark:  "retire-scan: reusable sorted snapshot + binary search vs seed per-scan map",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Threads:    threads,
-		HPs:        hps,
-		Batch:      benchBatch,
-		ScansPerG:  scans,
-	}
-
-	// Protect fast path: tight republish loops, single goroutine.
-	{
-		a, env := testEnv(t, arena.Strict)
-		s := newHP(env, Options{MaxThreads: 2, MaxHPs: 4})
-		h1, h2 := allocNode(a, s), allocNode(a, s)
-		var slot atomic.Uint64
-		slot.Store(uint64(h1))
-		s.GetProtected(0, 0, &slot)
-		const n = 1 << 22
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			s.GetProtected(0, 0, &slot)
-		}
-		rep.ProtectNs.Elided = float64(time.Since(t0).Nanoseconds()) / n
-		hs := [2]uint64{uint64(h1), uint64(h2)}
-		t0 = time.Now()
-		for i := 0; i < n; i++ {
-			slot.Store(hs[i&1])
-			s.GetProtected(0, 0, &slot)
-		}
-		rep.ProtectNs.Store = float64(time.Since(t0).Nanoseconds()) / n
-		t.Logf("protect: elided %.2f ns/op, store %.2f ns/op", rep.ProtectNs.Elided, rep.ProtectNs.Store)
-	}
-
-	for _, g := range []int{1, 2, 4, 8} {
-		row := scanRow{Goroutines: g}
-		{
-			f := newScanFixture(threads, hps, benchBatch)
-			row.BaselineMscan = bestScanMops(g, scans, func(tid int, list []arena.Handle) []arena.Handle {
-				return f.mapScan(list)
-			}, f.template)
-		}
-		{
-			f := newScanFixture(threads, hps, benchBatch)
-			e := newScanEngine(threads, threads*hps, benchBatch)
-			row.EngineMscan = bestScanMops(g, scans, func(tid int, list []arena.Handle) []arena.Handle {
-				return f.engineScan(e, tid, list)
-			}, f.template)
-		}
-		row.Speedup = row.EngineMscan / row.BaselineMscan
-		rep.Scan = append(rep.Scan, row)
-		t.Logf("scan g=%d: baseline %7.2f Mhandles/s, engine %7.2f Mhandles/s (%.2fx)",
-			g, row.BaselineMscan, row.EngineMscan, row.Speedup)
-	}
-
-	js, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_scan.json", append(js, '\n'), 0o644); err != nil {
-		t.Fatalf("writing BENCH_scan.json: %v", err)
-	}
 }

@@ -53,7 +53,7 @@ rm -f "$TMP/cs_s2.pid"
 
 "$BIN"/kvload -addr "$PROXY" -conns 4 -duration 8s -warmup 500ms \
 	-dist uniform -keys 20000 -mix get=50,put=44,del=5,scan=1 \
-	-drain -out '' | tee "$TMP/cs_load.txt"
+	-drain | tee "$TMP/cs_load.txt"
 grep -q ', 0 errs,' "$TMP/cs_load.txt" || {
 	echo "cluster-smoke: kvload reported errors (the proxy failed to mask the outage)"
 	exit 1

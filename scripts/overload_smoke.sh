@@ -47,13 +47,13 @@ MIX='get=30,put=20,del=10,scan=40'
 
 "$BIN"/kvload -addr "$ADDR" -conns 2 -duration 3s -warmup 500ms -pipeline 8 \
 	-dist uniform -keys 20000 -mix "$MIX" -scanlen 1024 \
-	-budget 250ms -out '' | tee "$TMP/os_base.txt"
+	-budget 250ms | tee "$TMP/os_base.txt"
 BASE_P99=$(p99 "$TMP/os_base.txt")
 [ -n "$BASE_P99" ] || { echo "overload-smoke: no baseline p99 parsed"; exit 1; }
 
 "$BIN"/kvload -addr "$ADDR" -conns 24 -duration 3s -warmup 500ms -pipeline 8 \
 	-dist uniform -keys 20000 -mix "$MIX" -scanlen 1024 \
-	-budget 250ms -preload=false -out '' | tee "$TMP/os_hot.txt"
+	-budget 250ms -preload=false | tee "$TMP/os_hot.txt"
 HOT_P99=$(p99 "$TMP/os_hot.txt")
 HOT_ERRS=$(field errs "$TMP/os_hot.txt")
 HOT_SHED=$(field shed "$TMP/os_hot.txt")

@@ -48,7 +48,7 @@ sleep 1
 # only steady state.
 "$BIN"/kvload -addr "$PROXY" -conns "$CONNS" -duration $((SECONDS_CPU + 6))s \
 	-warmup 1s -dist zipfian -theta 0.99 -keys 50000 \
-	-mix 'get=90,put=9,del=1' -out '' >"$TMP/pc_load.log" 2>&1 &
+	-mix 'get=90,put=9,del=1' >"$TMP/pc_load.log" 2>&1 &
 LOAD_PID=$!
 sleep 2
 
