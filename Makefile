@@ -14,6 +14,7 @@ check: vet orcvet build test race race-peek cluster-guards torture-orc torture-k
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # orcvet: the repo's own reclamation-discipline analyzer, run through
 # the go vet driver so test files and generated cgo shims are covered.
@@ -44,10 +45,11 @@ race-peek:
 # The proxy fast-path regression guards, run without the race detector
 # so the AllocsPerRun assertion measures the real path (race
 # instrumentation allocates): a steady-state proxied GET/PUT must not
-# allocate, and a churned topology must return to its goroutine
-# baseline.
+# allocate, a churned topology must return to its goroutine baseline,
+# and a client burst must reach each backend batched (lane_frames /
+# lane_writes ≥ 4).
 cluster-guards:
-	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyGoroutineBaseline' -count=1 -v
+	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyGoroutineBaseline|TestProxyBurstBatching' -count=1 -v
 
 # The repo's one measurement system: four workloads (ds-churn, ds-read,
 # kv-mixed, proxy-read) x five subjects, the end-to-end metrics with

@@ -205,7 +205,6 @@ type conn struct {
 	mu      sync.Mutex
 	dead    bool
 	pending chan *call
-	flushCh chan struct{} // wakes the flusher; cap 1, closed by killLocked
 
 	// Outbound frame queue, drained by one writev. outW holds the
 	// refcounts, outB the parallel byte views handed to net.Buffers;
@@ -215,29 +214,68 @@ type conn struct {
 	scratch [][]byte
 }
 
+// burst is one client reader's set of lanes holding frames it queued
+// but has not yet written. The reader writes them all once its input
+// buffer holds no further whole frame — one writev per dirtied lane
+// per client burst — and before every point where it may park, since
+// whatever it waits on may need one of those frames. lane is the
+// connection's read-affinity lane index on every backend.
+type burst struct {
+	lane  int
+	dirty []*conn
+}
+
+func (bu *burst) mark(c *conn) {
+	for _, d := range bu.dirty {
+		if d == c {
+			return
+		}
+	}
+	bu.dirty = append(bu.dirty, c)
+}
+
+// flush writes every lane the burst dirtied. A lane another submitter
+// already wrote has nothing left queued and costs no syscall.
+func (bu *burst) flush() {
+	for i, c := range bu.dirty {
+		c.flush()
+		bu.dirty[i] = nil
+	}
+	bu.dirty = bu.dirty[:0]
+}
+
 // submit queues the frame fr on this lane (taking its own reference on
 // it). Returns false if the lane is dead.
 //
-// Flushing is coalesced: the common path only queues the frame and
-// wakes the lane's flusher, so concurrent submissions share one writev
-// syscall instead of paying one each. The exception is a lane at full
-// depth — there we must write *before* blocking on the pending queue,
-// because the flusher needs mu (held across the block) and the queue
-// only drains once the queued requests reach the server.
-func (c *conn) submit(fr *wireBuf, ca *call) bool {
+// The frame is only queued: bu, the submitting client reader's burst,
+// records the lane and writes it later together with the rest of the
+// burst. A nil bu (the blocking round-trip helpers) writes inline. A
+// lane at full depth is the exception: the submitter parks on the
+// pending queue holding mu, so it first writes its whole burst and
+// then, under mu, everything queued here — the queue only drains once
+// the queued requests reach the server.
+func (c *conn) submit(fr *wireBuf, ca *call, bu *burst) bool {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
 		return false
+	}
+	if bu != nil && len(bu.dirty) > 0 && len(c.pending) == cap(c.pending) {
+		c.mu.Unlock()
+		bu.flush()
+		c.mu.Lock()
+		if c.dead {
+			c.mu.Unlock()
+			return false
+		}
 	}
 	fr.ref()
 	c.outW = append(c.outW, fr)
 	c.outB = append(c.outB, fr.b)
 	select {
 	case c.pending <- ca:
-		select {
-		case c.flushCh <- struct{}{}:
-		default: // a wakeup is already queued; it will cover this frame
+		if bu == nil {
+			c.writeOrKillLocked()
 		}
 	default:
 		if err := c.writeLocked(); err != nil {
@@ -251,14 +289,18 @@ func (c *conn) submit(fr *wireBuf, ca *call) bool {
 		c.pending <- ca // blocks at depth: natural per-lane backpressure
 	}
 	c.mu.Unlock()
+	if bu != nil {
+		bu.mark(c)
+	}
 	c.b.inflight.Add(1)
 	return true
 }
 
 // trySubmit is submit for callers that must never block — op
-// continuations running on a lane receiver or a hedge timer. A lane at
-// full depth reports full=true (alive, just no room) instead of
-// queuing behind the depth limit.
+// continuations running on a lane receiver or a hedge timer. It writes
+// inline: a continuation has no burst to ride. A lane at full depth
+// reports full=true (alive, just no room) instead of queuing behind
+// the depth limit.
 func (c *conn) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
 	c.mu.Lock()
 	if c.dead {
@@ -274,13 +316,28 @@ func (c *conn) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
 	fr.ref()
 	c.outW = append(c.outW, fr)
 	c.outB = append(c.outB, fr.b)
-	select {
-	case c.flushCh <- struct{}{}:
-	default:
-	}
+	c.writeOrKillLocked()
 	c.mu.Unlock()
 	c.b.inflight.Add(1)
 	return true, false
+}
+
+// flush writes whatever is queued on the lane.
+func (c *conn) flush() {
+	c.mu.Lock()
+	if !c.dead {
+		c.writeOrKillLocked()
+	}
+	c.mu.Unlock()
+}
+
+// writeOrKillLocked writes the queue and kills the lane if that fails;
+// mu held. Calls already on pending are failed by the receiver once
+// its read errors on the closed socket.
+func (c *conn) writeOrKillLocked() {
+	if err := c.writeLocked(); err != nil {
+		c.killLocked()
+	}
 }
 
 // writeLocked writevs every queued frame in one syscall; mu held. The
@@ -293,6 +350,8 @@ func (c *conn) writeLocked() error {
 	if len(c.outB) == 0 {
 		return nil
 	}
+	c.b.laneWrites.Add(1)
+	c.b.laneFrames.Add(int64(len(c.outB)))
 	c.scratch = append(c.scratch[:0], c.outB...)
 	bufs := net.Buffers(c.scratch)
 	err := c.cl.WriteFrames(&bufs)
@@ -313,25 +372,6 @@ func (c *conn) releaseOutLocked() {
 	c.outB = c.outB[:0]
 }
 
-// flushLoop pushes queued frames to the wire whenever submit signals.
-// One wakeup covers every frame queued before the flush runs, so a
-// burst of submissions costs one syscall.
-func (c *conn) flushLoop() {
-	for range c.flushCh {
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			return
-		}
-		if err := c.writeLocked(); err != nil {
-			c.killLocked()
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-	}
-}
-
 // killLocked marks the lane dead and closes the socket; mu held. The
 // pending channel is closed here — submitters check dead under mu
 // first, so no send can race the close.
@@ -343,7 +383,6 @@ func (c *conn) killLocked() {
 	c.cl.Close()
 	c.releaseOutLocked()
 	close(c.pending)
-	close(c.flushCh) // sends are gated on !dead under mu, like pending
 	c.b.noteDeath(c.gen)
 }
 
@@ -395,8 +434,11 @@ type backend struct {
 	state    atomic.Int32
 	gen      atomic.Uint64 // bumped per (re)connect; stale lane deaths are ignored
 	lanes    atomic.Pointer[[]*conn]
-	rr       atomic.Uint32
 	inflight atomic.Int64
+
+	// Lane batching: writev syscalls and the frames they carried.
+	laneWrites atomic.Int64
+	laneFrames atomic.Int64
 
 	scheme atomic.Pointer[string] // reclamation scheme reported by the backend's STATS
 	proto  atomic.Int32           // wire version negotiated at connect (0 = pre-budget server)
@@ -562,10 +604,9 @@ func (b *backend) connect(gen uint64) ([]*conn, error) {
 			}
 			b.scheme.Store(&st.Scheme)
 		}
-		c := &conn{b: b, gen: gen, cl: cl, pending: make(chan *call, cfg.Depth), flushCh: make(chan struct{}, 1)}
+		c := &conn{b: b, gen: gen, cl: cl, pending: make(chan *call, cfg.Depth)}
 		lanes[i] = c
 		go c.recvLoop()
-		go c.flushLoop()
 	}
 	return lanes, nil
 }
@@ -600,18 +641,21 @@ func (b *backend) laneFor(key uint64) *conn {
 
 // submitKeyed queues an op on the key's lane. No cross-lane fallback:
 // order matters, and a dead lane means the pool is going down anyway.
-func (b *backend) submitKeyed(key uint64, fr *wireBuf, ca *call) bool {
+func (b *backend) submitKeyed(key uint64, fr *wireBuf, ca *call, bu *burst) bool {
 	if b.testSubmit != nil {
 		return b.testSubmit(fr, ca)
 	}
 	c := b.laneFor(key)
-	return c != nil && c.submit(fr, ca)
+	return c != nil && c.submit(fr, ca, bu)
 }
 
-// submitAny queues an order-insensitive op (reads, scans, stats) on any
-// live lane. Blocks at full depth — only for callers that may park
-// (the client reader, the blocking round-trip helpers).
-func (b *backend) submitAny(fr *wireBuf, ca *call) bool {
+// submitAny queues an order-insensitive op (reads, scans, stats),
+// trying lane index lane first and the next live one after it. A client
+// connection passes the same index for every read on every backend, so
+// its burst of reads dirties one lane per backend: one writev each.
+// Blocks at full depth — only for callers that may park (the client
+// reader, the blocking round-trip helpers).
+func (b *backend) submitAny(lane int, fr *wireBuf, ca *call, bu *burst) bool {
 	if b.testSubmit != nil {
 		return b.testSubmit(fr, ca)
 	}
@@ -620,9 +664,8 @@ func (b *backend) submitAny(fr *wireBuf, ca *call) bool {
 		return false
 	}
 	lanes := *lp
-	start := int(b.rr.Add(1))
 	for k := 0; k < len(lanes); k++ {
-		if lanes[(start+k)%len(lanes)].submit(fr, ca) {
+		if lanes[(lane+k)%len(lanes)].submit(fr, ca, bu) {
 			return true
 		}
 	}
@@ -632,7 +675,7 @@ func (b *backend) submitAny(fr *wireBuf, ca *call) bool {
 // trySubmitAny is submitAny for continuation contexts: it never blocks,
 // and reports whether the refusal was depth (full — every live lane at
 // capacity) rather than death.
-func (b *backend) trySubmitAny(fr *wireBuf, ca *call) (ok, full bool) {
+func (b *backend) trySubmitAny(lane int, fr *wireBuf, ca *call) (ok, full bool) {
 	if b.testSubmit != nil {
 		return b.testSubmit(fr, ca), false
 	}
@@ -641,9 +684,8 @@ func (b *backend) trySubmitAny(fr *wireBuf, ca *call) (ok, full bool) {
 		return false, false
 	}
 	lanes := *lp
-	start := int(b.rr.Add(1))
 	for k := 0; k < len(lanes); k++ {
-		ok, f := lanes[(start+k)%len(lanes)].trySubmit(fr, ca)
+		ok, f := lanes[(lane+k)%len(lanes)].trySubmit(fr, ca)
 		if ok {
 			return true, false
 		}
@@ -653,17 +695,17 @@ func (b *backend) trySubmitAny(fr *wireBuf, ca *call) (ok, full bool) {
 }
 
 // roundTrip is the blocking helper the scatter paths (scan, stats,
-// drain, resync) use. The returned call owns the response; the caller
-// must putCall it after consuming resp.
+// drain, resync) use; its frame is written inline. The returned call
+// owns the response; the caller must putCall it after consuming resp.
 func (b *backend) roundTrip(req []byte, keyed bool, key uint64) (*call, error) {
 	fr := getWire()
 	fr.b = kvstore.AppendFrame(fr.b, req)
 	ca := getCall()
 	ok := false
 	if keyed {
-		ok = b.submitKeyed(key, fr, ca)
+		ok = b.submitKeyed(key, fr, ca, nil)
 	} else {
-		ok = b.submitAny(fr, ca)
+		ok = b.submitAny(b.p.nextLane(), fr, ca, nil)
 	}
 	fr.unref()
 	if !ok {
@@ -722,5 +764,8 @@ func (b *backend) hedgeDelay() time.Duration {
 	return time.Millisecond
 }
 
-func (b *backend) readEligible() bool  { return b.state.Load() == stateHealthy }
-func (b *backend) writeEligible() bool { s := b.state.Load(); return s == stateHealthy || s == stateRecovering }
+func (b *backend) readEligible() bool { return b.state.Load() == stateHealthy }
+func (b *backend) writeEligible() bool {
+	s := b.state.Load()
+	return s == stateHealthy || s == stateRecovering
+}

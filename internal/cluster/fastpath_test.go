@@ -42,7 +42,7 @@ func stubProxy(nback int) *Proxy {
 }
 
 func runOp(p *Proxy, req []byte) *call {
-	ca := p.dispatch(req)
+	ca := p.dispatch(req, &burst{})
 	<-ca.done
 	return ca
 }

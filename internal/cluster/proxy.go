@@ -63,12 +63,14 @@ type Proxy struct {
 	cfg Config
 	reg *obs.Registry
 
-	topo atomic.Pointer[topology]
-	next atomic.Pointer[topology] // non-nil while a migration is in flight
-	tmu  sync.Mutex               // serializes topology changes
+	topo   atomic.Pointer[topology]
+	next   atomic.Pointer[topology] // non-nil while a migration is in flight
+	tmu    sync.Mutex               // serializes topology changes
 	byAddr map[string]*backend
 
 	locks [stripeCount]sync.Mutex
+
+	laneSeq atomic.Uint32 // deals read-affinity lanes to client connections
 
 	ln     net.Listener
 	cmu    sync.Mutex
@@ -169,6 +171,8 @@ func (p *Proxy) registerBackendMetrics(b *backend) {
 	p.reg.GaugeFunc(prefix+"/inflight", b.inflight.Load)
 	p.reg.GaugeFunc(prefix+"/state", func() int64 { return int64(b.state.Load()) })
 	p.reg.GaugeFunc(prefix+"/trips", func() int64 { return int64(b.trips.Load()) })
+	p.reg.GaugeFunc(prefix+"/lane_writes", b.laneWrites.Load)
+	p.reg.GaugeFunc(prefix+"/lane_frames", b.laneFrames.Load)
 }
 
 // WaitReady blocks until every backend in the current topology is
@@ -248,11 +252,21 @@ func (p *Proxy) Shutdown() {
 	}
 }
 
+// nextLane deals the next lane index: one per client connection (its
+// read affinity) and one per unkeyed blocking round trip.
+func (p *Proxy) nextLane() int { return int(p.laneSeq.Add(1)) }
+
 // handle is the per-client-connection loop: the reader parses frames
 // and starts each op inline (data ops run as pooled state machines —
 // no goroutine per op); the writer streams the responses back strictly
 // in request order (the protocol's pipelining contract), gathering a
 // burst of completed responses into one writev.
+//
+// The backend hop batches the same way. Dispatch only queues frames on
+// lanes; the reader writes every lane it dirtied once its buffer holds
+// no further whole frame, so a client burst costs one writev per
+// dirtied lane. It also writes them before parking on a full order
+// queue: the writer it waits for may need one of those frames.
 func (p *Proxy) handle(c net.Conn) {
 	defer p.wg.Done()
 	defer func() {
@@ -266,6 +280,7 @@ func (p *Proxy) handle(c net.Conn) {
 	wwg.Add(1)
 	go p.writeLoop(c, order, &wwg)
 	br := bufio.NewReaderSize(c, 64<<10)
+	bu := burst{lane: p.nextLane()}
 	var req []byte
 	for {
 		payload, err := kvstore.ReadFrame(br, req)
@@ -273,8 +288,18 @@ func (p *Proxy) handle(c net.Conn) {
 			break
 		}
 		req = payload
-		order <- p.dispatch(payload)
+		ca := p.dispatch(payload, &bu)
+		if !kvstore.FrameBuffered(br) {
+			bu.flush()
+		}
+		select {
+		case order <- ca:
+		default:
+			bu.flush()
+			order <- ca
+		}
 	}
+	bu.flush() // a malformed length reads as buffered, so frames may still be queued
 	close(order)
 	wwg.Wait()
 }
@@ -368,7 +393,7 @@ var (
 // budget (minus each backend's observed RTT) and refuse ops whose
 // budget is already spent before submitting anything — the
 // not-executed contract holds through the proxy.
-func (p *Proxy) dispatch(payload []byte) *call {
+func (p *Proxy) dispatch(payload []byte, bu *burst) *call {
 	ca := getCall()
 	p.routed.Add(1)
 	req, budget, okb := kvstore.SplitBudget(payload)
@@ -387,14 +412,14 @@ func (p *Proxy) dispatch(payload []byte) *call {
 			ca.fail(errShortReq)
 			return ca
 		}
-		p.startGet(req, key, deadline, ca)
+		p.startGet(req, key, deadline, ca, bu)
 	case kvstore.OpPut, kvstore.OpDel:
 		key, ok := kvstore.PayloadU64(req, 1)
 		if !ok {
 			ca.fail(errShortReq)
 			return ca
 		}
-		p.startWrite(req, key, deadline, ca)
+		p.startWrite(req, key, deadline, ca, bu)
 	case kvstore.OpScan:
 		from, ok1 := kvstore.PayloadU64(req, 1)
 		limit, ok2 := kvstore.PayloadU32(req, 9)
@@ -779,10 +804,10 @@ type NodeInfo struct {
 
 // Info is the CLUSTER_INFO response.
 type Info struct {
-	Replicas       int        `json:"replicas"`
-	VNodes         int        `json:"vnodes"`
-	Migrating      bool       `json:"migrating"`
-	Nodes          []NodeInfo `json:"nodes"`
+	Replicas        int        `json:"replicas"`
+	VNodes          int        `json:"vnodes"`
+	Migrating       bool       `json:"migrating"`
+	Nodes           []NodeInfo `json:"nodes"`
 	RoutedOps       uint64     `json:"routed_ops"`
 	HedgesFired     uint64     `json:"hedges_fired"`
 	HedgeWins       uint64     `json:"hedge_wins"`
@@ -805,9 +830,9 @@ func (p *Proxy) Snapshot() Info {
 	p.tmu.Unlock()
 	sort.Slice(backs, func(i, j int) bool { return backs[i].addr < backs[j].addr })
 	info := Info{
-		Replicas:       p.replicas(),
-		VNodes:         p.cfg.VNodes,
-		Migrating:      p.next.Load() != nil,
+		Replicas:        p.replicas(),
+		VNodes:          p.cfg.VNodes,
+		Migrating:       p.next.Load() != nil,
 		RoutedOps:       p.routed.Load(),
 		HedgesFired:     p.hedges.Load(),
 		HedgeWins:       p.hedgeWins.Load(),

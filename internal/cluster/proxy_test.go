@@ -55,13 +55,20 @@ func (b *testBackend) kill(t *testing.T) {
 
 func startCluster(t *testing.T, schemes []string, replicas int) (*Proxy, []*testBackend, string) {
 	t.Helper()
+	return startClusterWith(t, schemes, Config{Replicas: replicas, Lanes: 2, Depth: 64})
+}
+
+// startClusterWith is startCluster with the proxy's Config given; its
+// Backends field is filled in with the started servers.
+func startClusterWith(t *testing.T, schemes []string, cfg Config) (*Proxy, []*testBackend, string) {
+	t.Helper()
 	backs := make([]*testBackend, len(schemes))
-	addrs := make([]string, len(schemes))
+	cfg.Backends = make([]string, len(schemes))
 	for i, s := range schemes {
 		backs[i] = startKV(t, s, "")
-		addrs[i] = backs[i].addr
+		cfg.Backends[i] = backs[i].addr
 	}
-	p := New(Config{Backends: addrs, Replicas: replicas, Lanes: 2, Depth: 64})
+	p := New(cfg)
 	if err := p.WaitReady(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

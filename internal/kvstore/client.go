@@ -357,9 +357,11 @@ func (cl *Client) RecvRaw(dst []byte) ([]byte, error) {
 // written verbatim to another connection with no re-framing and no
 // second copy (RecvRaw round-trips the payload through the client's
 // internal buffer; RecvFrame copies straight out of the read buffer).
+// The read deadline is armed only when the frame is not already
+// buffered: a frame in the buffer needs no socket read to bound.
 func (cl *Client) RecvFrame(dst []byte) ([]byte, error) {
 	cl.consumed = false
-	if cl.opts.ReadTimeout > 0 {
+	if cl.opts.ReadTimeout > 0 && !FrameBuffered(cl.br) {
 		cl.c.SetReadDeadline(time.Now().Add(cl.opts.ReadTimeout))
 		defer cl.c.SetReadDeadline(time.Time{})
 	}

@@ -219,6 +219,21 @@ func appendFrame(dst, payload []byte) []byte {
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
 func AppendFrame(dst, payload []byte) []byte            { return appendFrame(dst, payload) }
 
+// FrameBuffered reports whether br already holds one whole frame, so
+// the next ReadFrame from it cannot block on the network. The proxy's
+// client reader writes its queued backend frames once this turns
+// false: the end of a client burst. A malformed length reads as
+// buffered — ReadFrame then fails without waiting.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	sz := binary.LittleEndian.Uint32(hdr)
+	return sz == 0 || sz > MaxFrame || n >= 4+int(sz)
+}
+
 // Field accessors for proxies that route on the key without decoding
 // the full request.
 func PayloadU64(b []byte, off int) (uint64, bool) { return getU64(b, off) }
