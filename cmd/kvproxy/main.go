@@ -36,8 +36,7 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated kvserver addresses (required)")
 	replicas := flag.Int("replicas", 2, "copies per key (clamped to backend count)")
 	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "ring vnode budget per backend")
-	lanes := flag.Int("lanes", 4, "pipelined connections per backend")
-	depth := flag.Int("depth", 128, "in-flight requests per lane")
+	depth := flag.Int("depth", 512, "in-flight requests per backend")
 	ioTimeout := flag.Duration("io-timeout", 10*time.Second, "per backend response read timeout")
 	waitReady := flag.Duration("wait-ready", 15*time.Second, "wait for all backends to connect before serving (0 = serve immediately)")
 	metricsAddr := flag.String("metrics", "", "metrics listen address, e.g. :7001 ('' = disabled)")
@@ -63,7 +62,6 @@ func main() {
 		Backends:  list,
 		Replicas:  *replicas,
 		VNodes:    *vnodes,
-		Lanes:     *lanes,
 		Depth:     *depth,
 		IOTimeout: *ioTimeout,
 		Metrics:   reg,

@@ -192,11 +192,13 @@ func sealWire(w *wireBuf) {
 	w.b[0], w.b[1], w.b[2], w.b[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 }
 
-// conn is one pipelined lane to a backend. Submissions append to the
-// wire and to the pending FIFO under mu; a receiver goroutine pairs
-// responses with pending calls in order. Writes for one key always ride
-// one lane (picked by key hash), so every replica executes same-key
-// writes in the proxy's submission order.
+// conn is a backend's lane: the one pipelined connection every request
+// to that backend rides. Submissions append to the wire and to the
+// pending FIFO under mu; a receiver goroutine pairs responses with
+// pending calls in order. One lane per backend keeps the wire in the
+// proxy's submission order, so every replica executes same-key writes
+// in the proxy's stripe order, and lets the flusher gather what every
+// client connection queued since its last write into one writev.
 type conn struct {
 	b   *backend
 	gen uint64
@@ -205,6 +207,7 @@ type conn struct {
 	mu      sync.Mutex
 	dead    bool
 	pending chan *call
+	flushCh chan struct{} // wakes the flusher; cap 1, closed by killLocked
 
 	// Outbound frame queue, drained by one writev. outW holds the
 	// refcounts, outB the parallel byte views handed to net.Buffers;
@@ -214,68 +217,30 @@ type conn struct {
 	scratch [][]byte
 }
 
-// burst is one client reader's set of lanes holding frames it queued
-// but has not yet written. The reader writes them all once its input
-// buffer holds no further whole frame — one writev per dirtied lane
-// per client burst — and before every point where it may park, since
-// whatever it waits on may need one of those frames. lane is the
-// connection's read-affinity lane index on every backend.
-type burst struct {
-	lane  int
-	dirty []*conn
-}
-
-func (bu *burst) mark(c *conn) {
-	for _, d := range bu.dirty {
-		if d == c {
-			return
-		}
-	}
-	bu.dirty = append(bu.dirty, c)
-}
-
-// flush writes every lane the burst dirtied. A lane another submitter
-// already wrote has nothing left queued and costs no syscall.
-func (bu *burst) flush() {
-	for i, c := range bu.dirty {
-		c.flush()
-		bu.dirty[i] = nil
-	}
-	bu.dirty = bu.dirty[:0]
-}
-
 // submit queues the frame fr on this lane (taking its own reference on
 // it). Returns false if the lane is dead.
 //
-// The frame is only queued: bu, the submitting client reader's burst,
-// records the lane and writes it later together with the rest of the
-// burst. A nil bu (the blocking round-trip helpers) writes inline. A
-// lane at full depth is the exception: the submitter parks on the
-// pending queue holding mu, so it first writes its whole burst and
-// then, under mu, everything queued here — the queue only drains once
-// the queued requests reach the server.
-func (c *conn) submit(fr *wireBuf, ca *call, bu *burst) bool {
+// Flushing is coalesced: the common path only queues the frame and
+// wakes the lane's flusher, so concurrent submissions share one writev
+// syscall instead of paying one each. The exception is a lane at full
+// depth — there we must write *before* blocking on the pending queue,
+// because the flusher needs mu (held across the block), and once every
+// pending call is on the wire the queue drains on the server's replies
+// alone.
+func (c *conn) submit(fr *wireBuf, ca *call) bool {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
 		return false
-	}
-	if bu != nil && len(bu.dirty) > 0 && len(c.pending) == cap(c.pending) {
-		c.mu.Unlock()
-		bu.flush()
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			return false
-		}
 	}
 	fr.ref()
 	c.outW = append(c.outW, fr)
 	c.outB = append(c.outB, fr.b)
 	select {
 	case c.pending <- ca:
-		if bu == nil {
-			c.writeOrKillLocked()
+		select {
+		case c.flushCh <- struct{}{}:
+		default: // a wakeup is already queued; it will cover this frame
 		}
 	default:
 		if err := c.writeLocked(); err != nil {
@@ -289,18 +254,14 @@ func (c *conn) submit(fr *wireBuf, ca *call, bu *burst) bool {
 		c.pending <- ca // blocks at depth: natural per-lane backpressure
 	}
 	c.mu.Unlock()
-	if bu != nil {
-		bu.mark(c)
-	}
 	c.b.inflight.Add(1)
 	return true
 }
 
 // trySubmit is submit for callers that must never block — op
-// continuations running on a lane receiver or a hedge timer. It writes
-// inline: a continuation has no burst to ride. A lane at full depth
-// reports full=true (alive, just no room) instead of queuing behind
-// the depth limit.
+// continuations running on a lane receiver or a hedge timer. A lane at
+// full depth reports full=true (alive, just no room) instead of
+// queuing behind the depth limit.
 func (c *conn) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
 	c.mu.Lock()
 	if c.dead {
@@ -316,28 +277,13 @@ func (c *conn) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
 	fr.ref()
 	c.outW = append(c.outW, fr)
 	c.outB = append(c.outB, fr.b)
-	c.writeOrKillLocked()
+	select {
+	case c.flushCh <- struct{}{}:
+	default:
+	}
 	c.mu.Unlock()
 	c.b.inflight.Add(1)
 	return true, false
-}
-
-// flush writes whatever is queued on the lane.
-func (c *conn) flush() {
-	c.mu.Lock()
-	if !c.dead {
-		c.writeOrKillLocked()
-	}
-	c.mu.Unlock()
-}
-
-// writeOrKillLocked writes the queue and kills the lane if that fails;
-// mu held. Calls already on pending are failed by the receiver once
-// its read errors on the closed socket.
-func (c *conn) writeOrKillLocked() {
-	if err := c.writeLocked(); err != nil {
-		c.killLocked()
-	}
 }
 
 // writeLocked writevs every queued frame in one syscall; mu held. The
@@ -372,6 +318,25 @@ func (c *conn) releaseOutLocked() {
 	c.outB = c.outB[:0]
 }
 
+// flushLoop pushes queued frames to the wire whenever submit signals.
+// One wakeup covers every frame queued before the flush runs, so a
+// burst of submissions costs one syscall.
+func (c *conn) flushLoop() {
+	for range c.flushCh {
+		c.mu.Lock()
+		if c.dead {
+			c.mu.Unlock()
+			return
+		}
+		if err := c.writeLocked(); err != nil {
+			c.killLocked()
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
+	}
+}
+
 // killLocked marks the lane dead and closes the socket; mu held. The
 // pending channel is closed here — submitters check dead under mu
 // first, so no send can race the close.
@@ -383,6 +348,7 @@ func (c *conn) killLocked() {
 	c.cl.Close()
 	c.releaseOutLocked()
 	close(c.pending)
+	close(c.flushCh) // sends are gated on !dead under mu, like pending
 	c.b.noteDeath(c.gen)
 }
 
@@ -424,7 +390,7 @@ func (c *conn) recvLoop() {
 	}
 }
 
-// backend is one kvserver behind the proxy: a pool of pipelined lanes,
+// backend is one kvserver behind the proxy: its pipelined lane,
 // a circuit breaker (the monitor goroutine), and the latency digest
 // that derives the hedged-read delay.
 type backend struct {
@@ -433,7 +399,7 @@ type backend struct {
 
 	state    atomic.Int32
 	gen      atomic.Uint64 // bumped per (re)connect; stale lane deaths are ignored
-	lanes    atomic.Pointer[[]*conn]
+	lane     atomic.Pointer[conn]
 	inflight atomic.Int64
 
 	// Lane batching: writev syscalls and the frames they carried.
@@ -490,10 +456,10 @@ func (b *backend) stopAndWait() {
 	b.wg.Wait()
 }
 
-// noteDeath tells the monitor a lane of the current generation died.
+// noteDeath tells the monitor the lane of the current generation died.
 func (b *backend) noteDeath(gen uint64) {
 	if b.gen.Load() != gen {
-		return // a lane from a torn-down pool failing late
+		return // a lane from a torn-down generation failing late
 	}
 	select {
 	case b.deaths <- struct{}{}:
@@ -512,8 +478,8 @@ func (b *backend) suspect() {
 	}
 }
 
-// run is the breaker/monitor loop: dial the pool, resync if this is a
-// rejoin, serve until a lane dies, tear down, repeat with jittered
+// run is the breaker/monitor loop: dial the lane, resync if this is a
+// rejoin, serve until the lane dies, tear down, repeat with jittered
 // backoff. Exits when the backend is removed from the topology.
 func (b *backend) run(bootstrap bool) {
 	defer b.wg.Done()
@@ -526,7 +492,7 @@ func (b *backend) run(bootstrap bool) {
 		default:
 		}
 		gen := b.gen.Add(1)
-		lanes, err := b.connect(gen)
+		lane, err := b.connect(gen)
 		if err != nil {
 			b.dialErrs.Add(1)
 			wait := time.Duration(float64(backoff) * (0.75 + 0.5*rand.Float64()))
@@ -542,7 +508,7 @@ func (b *backend) run(bootstrap bool) {
 		}
 		backoff = 50 * time.Millisecond
 		b.dialErrs.Store(0)
-		b.lanes.Store(&lanes)
+		b.lane.Store(lane)
 		if first && bootstrap {
 			// Initial topology: every backend starts empty and
 			// consistent; there is nothing to copy and no healthy peer
@@ -551,7 +517,7 @@ func (b *backend) run(bootstrap bool) {
 		} else {
 			b.state.Store(stateRecovering)
 			if err := b.p.resync(b); err != nil {
-				b.teardown(lanes)
+				b.teardown(lane)
 				continue
 			}
 			b.state.CompareAndSwap(stateRecovering, stateHealthy)
@@ -559,66 +525,55 @@ func (b *backend) run(bootstrap bool) {
 		first = false
 		select {
 		case <-b.stop:
-			b.teardown(lanes)
+			b.teardown(lane)
 			return
 		case <-b.deaths:
 			b.trips.Add(1)
 			b.state.Store(stateConnecting)
-			b.teardown(lanes)
+			b.teardown(lane)
 		}
 	}
 }
 
-func (b *backend) connect(gen uint64) ([]*conn, error) {
+func (b *backend) connect(gen uint64) (*conn, error) {
 	cfg := b.p.cfg
-	lanes := make([]*conn, cfg.Lanes)
-	for i := range lanes {
-		cl, err := kvstore.Dial(b.addr,
-			kvstore.WithDialTimeout(cfg.DialTimeout),
-			kvstore.WithReadTimeout(cfg.IOTimeout),
-			kvstore.WithPipelineDepth(cfg.Depth),
-			kvstore.WithRetries(2),
-			kvstore.WithRetryBackoff(25*time.Millisecond),
-		)
-		if err != nil {
-			for _, c := range lanes[:i] {
-				c.kill()
-			}
-			return nil, err
-		}
-		if i == 0 {
-			// Lane 0 pays two round trips before the pool goes live:
-			// HELLO (records whether this backend understands budget
-			// prefixes — a pre-versioning server negotiates down to 0)
-			// and STATS (records the reclamation scheme).
-			ver, err := cl.Negotiate(context.Background())
-			if err != nil {
-				cl.Close()
-				return nil, fmt.Errorf("cluster: %s HELLO: %w", b.addr, err)
-			}
-			b.proto.Store(int32(ver))
-			st, err := cl.Stats(context.Background())
-			if err != nil {
-				cl.Close()
-				return nil, fmt.Errorf("cluster: %s STATS: %w", b.addr, err)
-			}
-			b.scheme.Store(&st.Scheme)
-		}
-		c := &conn{b: b, gen: gen, cl: cl, pending: make(chan *call, cfg.Depth)}
-		lanes[i] = c
-		go c.recvLoop()
+	cl, err := kvstore.Dial(b.addr,
+		kvstore.WithDialTimeout(cfg.DialTimeout),
+		kvstore.WithReadTimeout(cfg.IOTimeout),
+		kvstore.WithPipelineDepth(cfg.Depth),
+		kvstore.WithRetries(2),
+		kvstore.WithRetryBackoff(25*time.Millisecond),
+	)
+	if err != nil {
+		return nil, err
 	}
-	return lanes, nil
+	// Two round trips before the lane goes live: HELLO (records whether
+	// this backend understands budget prefixes — a pre-versioning server
+	// negotiates down to 0) and STATS (records the reclamation scheme).
+	ver, err := cl.Negotiate(context.Background())
+	if err != nil {
+		cl.Close()
+		return nil, fmt.Errorf("cluster: %s HELLO: %w", b.addr, err)
+	}
+	b.proto.Store(int32(ver))
+	st, err := cl.Stats(context.Background())
+	if err != nil {
+		cl.Close()
+		return nil, fmt.Errorf("cluster: %s STATS: %w", b.addr, err)
+	}
+	b.scheme.Store(&st.Scheme)
+	c := &conn{b: b, gen: gen, cl: cl, pending: make(chan *call, cfg.Depth), flushCh: make(chan struct{}, 1)}
+	go c.recvLoop()
+	go c.flushLoop()
+	return c, nil
 }
 
-func (b *backend) teardown(lanes []*conn) {
-	b.lanes.Store(nil)
-	for _, c := range lanes {
-		c.kill()
-	}
-	// Clear death signals raised by the pool just torn down so the next
-	// pool does not get recycled on arrival (fresh-lane deaths re-raise:
-	// their generation is current).
+func (b *backend) teardown(c *conn) {
+	b.lane.Store(nil)
+	c.kill()
+	// Clear death signals raised by the lane just torn down so the next
+	// one does not get recycled on arrival (a fresh lane's death
+	// re-raises: its generation is current).
 	for {
 		select {
 		case <-b.deaths:
@@ -628,85 +583,39 @@ func (b *backend) teardown(lanes []*conn) {
 	}
 }
 
-// laneFor pins same-key traffic to one lane so every replica executes
-// writes to a key in the proxy's stripe order.
-func (b *backend) laneFor(key uint64) *conn {
-	lp := b.lanes.Load()
-	if lp == nil {
-		return nil
-	}
-	lanes := *lp
-	return lanes[splitmix64(key)%uint64(len(lanes))]
-}
-
-// submitKeyed queues an op on the key's lane. No cross-lane fallback:
-// order matters, and a dead lane means the pool is going down anyway.
-func (b *backend) submitKeyed(key uint64, fr *wireBuf, ca *call, bu *burst) bool {
+// submit queues an op on the backend's lane. Blocks at full depth —
+// only for callers that may park (the client reader, the blocking
+// round-trip helpers).
+func (b *backend) submit(fr *wireBuf, ca *call) bool {
 	if b.testSubmit != nil {
 		return b.testSubmit(fr, ca)
 	}
-	c := b.laneFor(key)
-	return c != nil && c.submit(fr, ca, bu)
+	c := b.lane.Load()
+	return c != nil && c.submit(fr, ca)
 }
 
-// submitAny queues an order-insensitive op (reads, scans, stats),
-// trying lane index lane first and the next live one after it. A client
-// connection passes the same index for every read on every backend, so
-// its burst of reads dirties one lane per backend: one writev each.
-// Blocks at full depth — only for callers that may park (the client
-// reader, the blocking round-trip helpers).
-func (b *backend) submitAny(lane int, fr *wireBuf, ca *call, bu *burst) bool {
-	if b.testSubmit != nil {
-		return b.testSubmit(fr, ca)
-	}
-	lp := b.lanes.Load()
-	if lp == nil {
-		return false
-	}
-	lanes := *lp
-	for k := 0; k < len(lanes); k++ {
-		if lanes[(lane+k)%len(lanes)].submit(fr, ca, bu) {
-			return true
-		}
-	}
-	return false
-}
-
-// trySubmitAny is submitAny for continuation contexts: it never blocks,
-// and reports whether the refusal was depth (full — every live lane at
-// capacity) rather than death.
-func (b *backend) trySubmitAny(lane int, fr *wireBuf, ca *call) (ok, full bool) {
+// trySubmit is submit for continuation contexts: it never blocks, and
+// reports whether the refusal was depth (full — the lane at capacity)
+// rather than death.
+func (b *backend) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
 	if b.testSubmit != nil {
 		return b.testSubmit(fr, ca), false
 	}
-	lp := b.lanes.Load()
-	if lp == nil {
+	c := b.lane.Load()
+	if c == nil {
 		return false, false
 	}
-	lanes := *lp
-	for k := 0; k < len(lanes); k++ {
-		ok, f := lanes[(lane+k)%len(lanes)].trySubmit(fr, ca)
-		if ok {
-			return true, false
-		}
-		full = full || f
-	}
-	return false, full
+	return c.trySubmit(fr, ca)
 }
 
 // roundTrip is the blocking helper the scatter paths (scan, stats,
-// drain, resync) use; its frame is written inline. The returned call
-// owns the response; the caller must putCall it after consuming resp.
-func (b *backend) roundTrip(req []byte, keyed bool, key uint64) (*call, error) {
+// drain, resync) use. The returned call owns the response; the caller
+// must putCall it after consuming resp.
+func (b *backend) roundTrip(req []byte) (*call, error) {
 	fr := getWire()
 	fr.b = kvstore.AppendFrame(fr.b, req)
 	ca := getCall()
-	ok := false
-	if keyed {
-		ok = b.submitKeyed(key, fr, ca, nil)
-	} else {
-		ok = b.submitAny(b.p.nextLane(), fr, ca, nil)
-	}
+	ok := b.submit(fr, ca)
 	fr.unref()
 	if !ok {
 		putCall(ca)

@@ -40,7 +40,6 @@ type getOp struct {
 	ca       *call    // client-facing call; answered exactly once
 	frame    *wireBuf // forwarded request frame (budget-flagged iff deadline set)
 	deadline time.Time
-	lane     int // the client connection's read-affinity lane index
 
 	refs atomic.Int32
 
@@ -62,9 +61,9 @@ var getOpPool = sync.Pool{New: func() any { return &getOp{} }}
 // startGet begins a proxied GET on the client reader's goroutine. The
 // request bytes are captured into the op's pooled frame before return;
 // the caller's buffer may be reused immediately.
-func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call, bu *burst) {
+func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call) {
 	op := getOpPool.Get().(*getOp)
-	op.p, op.ca, op.deadline, op.lane = p, ca, deadline, bu.lane
+	op.p, op.ca, op.deadline = p, ca, deadline
 	op.ncand, op.next, op.outstanding = 0, 0, 0
 	op.finished, op.retried, op.armed = false, false, false
 	op.lastShed = 0
@@ -108,7 +107,7 @@ func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call, b
 	op.mu.Lock()
 	op.outstanding++
 	op.mu.Unlock()
-	ok := b.submitAny(op.lane, bfr, bc, bu) // blocking is fine: reader context, backpressure intended
+	ok := b.submit(bfr, bc) // blocking is fine: reader context, backpressure intended
 	if bfr != fr {
 		bfr.unref()
 	}
@@ -252,7 +251,7 @@ func (op *getOp) hedgeFire() {
 	op.mu.Lock()
 	op.outstanding++
 	op.mu.Unlock()
-	ok, _ := b.trySubmitAny(op.lane, bfr, bc)
+	ok, _ := b.trySubmit(bfr, bc)
 	if bfr != op.frame {
 		bfr.unref()
 	}
@@ -354,7 +353,7 @@ func (op *getOp) failover() {
 		op.mu.Lock()
 		op.outstanding++
 		op.mu.Unlock()
-		ok, full := b.trySubmitAny(op.lane, bfr, bc)
+		ok, full := b.trySubmit(bfr, bc)
 		if bfr != op.frame {
 			bfr.unref()
 		}
@@ -452,7 +451,7 @@ const minHopCost = 20 * time.Microsecond
 // unbudgeted — once a write is in flight to a replica set, a
 // per-replica deadline expiry would mean divergence, exactly what the
 // ack invariant forbids.
-func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call, bu *burst) {
+func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call) {
 	// A write whose remaining budget cannot cover even a loopback round
 	// trip is dead on arrival; it must be refused *here* because the
 	// forwarded frame carries no budget for a backend to notice. (The
@@ -487,7 +486,7 @@ func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call,
 		op.sheds[n] = false
 		op.n = n + 1
 		op.outstanding.Add(1)
-		if !b.submitKeyed(key, fr, bc, bu) {
+		if !b.submit(fr, bc) {
 			op.n = n
 			op.calls[n] = nil
 			op.outstanding.Add(-1) // cannot hit 0: setup hold outstanding

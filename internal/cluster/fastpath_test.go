@@ -17,7 +17,7 @@ import (
 // AllocsPerRun measures only the proxy's own fast path.
 func stubProxy(nback int) *Proxy {
 	p := &Proxy{
-		cfg:    Config{Replicas: 2, Lanes: 2, Depth: 64},
+		cfg:    Config{Replicas: 2, Depth: 128},
 		byAddr: map[string]*backend{},
 	}
 	addrs := make([]string, nback)
@@ -42,7 +42,7 @@ func stubProxy(nback int) *Proxy {
 }
 
 func runOp(p *Proxy, req []byte) *call {
-	ca := p.dispatch(req, &burst{})
+	ca := p.dispatch(req)
 	<-ca.done
 	return ca
 }

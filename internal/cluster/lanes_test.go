@@ -21,77 +21,6 @@ func burstClient(t *testing.T, addr string, n int) *kvstore.Client {
 	return cl
 }
 
-// putBurst sends one PUT per key with a single Flush and waits for
-// every ack; the acks must all arrive within limit.
-func putBurst(t *testing.T, cl *kvstore.Client, keys []uint64, limit time.Duration) {
-	t.Helper()
-	for _, k := range keys {
-		cl.SendPut(k, k*10)
-	}
-	t0 := time.Now()
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range keys {
-		if _, err := cl.RecvPut(); err != nil {
-			t.Fatalf("ack %d of %d after %v: %v", i+1, len(keys), time.Since(t0), err)
-		}
-	}
-	if d := time.Since(t0); d > limit {
-		t.Fatalf("%d acks took %v, want < %v: the reader parked on frames it had not written", len(keys), d, limit)
-	}
-	for _, k := range keys {
-		if v, ok, err := cl.Get(ctx, k); err != nil || !ok || v != k*10 {
-			t.Fatalf("Get(%d) after burst = %d, %v, %v", k, v, ok, err)
-		}
-	}
-}
-
-// The client reader queues backend frames and writes them at the end
-// of a burst, so it must write them before every point where it may
-// park. A burst of 256 PUTs is larger than the order queue (4×Depth =
-// 32 slots) and than a lane's depth. Had the reader parked on the full
-// order queue with frames unwritten, the response writer would wait on
-// a backend that never saw the request until the lane's read timeout
-// killed it.
-func TestProxyReaderFlushesBeforeParking(t *testing.T) {
-	p, _, addr := startClusterWith(t, []string{"orcgc", "hp"},
-		Config{Replicas: 2, Lanes: 8, Depth: 8, IOTimeout: 2 * time.Second})
-	lanes := uint64(p.cfg.Lanes)
-	keysOnLane := func(l uint64, from uint64, n int) []uint64 {
-		var ks []uint64
-		for k := from; len(ks) < n; k++ {
-			if splitmix64(k)%lanes == l {
-				ks = append(ks, k)
-			}
-		}
-		return ks
-	}
-
-	// The keys cycle over the lanes, so 33 consecutive PUTs put at most
-	// 5 frames on any lane: the order queue fills before any lane does.
-	t.Run("order queue", func(t *testing.T) {
-		cl := burstClient(t, addr, 256)
-		per := make([][]uint64, lanes)
-		for l := range per {
-			per[l] = keysOnLane(uint64(l), 1000, 256/int(lanes))
-		}
-		var keys []uint64
-		for i := 0; len(keys) < 256; i++ {
-			keys = append(keys, per[i%int(lanes)][i/int(lanes)])
-		}
-		putBurst(t, cl, keys, time.Second)
-	})
-
-	// One burst, within the order queue, that fills lane 0 while lane 1
-	// holds the burst's first frame queued and unwritten.
-	t.Run("full lane", func(t *testing.T) {
-		cl := burstClient(t, addr, 64)
-		keys := append(keysOnLane(1, 5000, 1), keysOnLane(0, 6000, 24)...)
-		putBurst(t, cl, keys, time.Second)
-	})
-}
-
 // laneTotals sums the lane_writes and lane_frames gauges of every
 // backend in reg.
 func laneTotals(t *testing.T, reg *obs.Registry, backs []*testBackend) (writes, frames int64) {
@@ -112,17 +41,15 @@ func laneTotals(t *testing.T, reg *obs.Registry, backs []*testBackend) (writes, 
 	return writes, frames
 }
 
-// A client burst reaches each backend in as few writes as it dirtied
-// lanes: the burst's reads all ride the connection's lane, and the
-// reader writes each dirtied lane once, after the burst's last frame.
-// 32 GETs over two backends is one writev per backend, 16 frames each;
-// the bound leaves room for bursts the kernel splits and for hedges,
-// which write inline. Dealt round-robin over 2×8 lanes, the same burst
-// could not beat 2 frames per write.
+// Frames from a client burst share lane writes: the reader only
+// queues each frame and wakes the lane's flusher, whose one writev
+// carries everything queued since its last write. 32 GETs over two
+// backends is 16 frames per backend; the bound leaves room for the
+// flusher catching a burst part-way through.
 func TestProxyBurstBatching(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, backs, addr := startClusterWith(t, []string{"orcgc", "hp"},
-		Config{Replicas: 2, Lanes: 8, Depth: 128, Metrics: reg})
+		Config{Replicas: 2, Metrics: reg})
 	cl := burstClient(t, addr, 32)
 	w0, f0 := laneTotals(t, reg, backs)
 	for burst := 0; burst < 50; burst++ {

@@ -23,8 +23,7 @@ type Config struct {
 	Backends []string // initial backend addresses
 	Replicas int      // copies per key, clamped to the backend count (default 2)
 	VNodes   int      // ring vnode budget (default DefaultVNodes)
-	Lanes    int      // pipelined connections per backend (default 4)
-	Depth    int      // in-flight requests per lane (default 128)
+	Depth    int      // in-flight requests per backend (default 512)
 
 	DialTimeout time.Duration // per backend connect (default 2s)
 	IOTimeout   time.Duration // per backend response read (default 10s)
@@ -50,8 +49,8 @@ type topology struct {
 // Consistency contract (what makes hedged reads and failover safe):
 // an acked write is present on every read-eligible replica of its key.
 // Writes fan out to all write-eligible replicas under a per-key stripe
-// lock and ride key-pinned lanes, so replicas execute same-key writes
-// in one global order; any healthy replica that fails a write is
+// lock and ride each backend's one lane, so replicas execute same-key
+// writes in one global order; any healthy replica that fails a write is
 // demoted out of the read set *before* the client sees the ack. Reads
 // therefore trust whichever read-eligible replica answers first.
 //
@@ -69,8 +68,6 @@ type Proxy struct {
 	byAddr map[string]*backend
 
 	locks [stripeCount]sync.Mutex
-
-	laneSeq atomic.Uint32 // deals read-affinity lanes to client connections
 
 	ln     net.Listener
 	cmu    sync.Mutex
@@ -90,7 +87,7 @@ type Proxy struct {
 }
 
 // New builds a proxy over the configured backends and starts their
-// connection pools. Backends need not be reachable yet — each pool
+// lanes. Backends need not be reachable yet — each backend's monitor
 // dials with jittered backoff until its server appears. The initial
 // backends are assumed empty-and-consistent (a fresh cluster); nodes
 // added or re-added later always resync before serving reads.
@@ -104,11 +101,8 @@ func New(cfg Config) *Proxy {
 	if cfg.VNodes <= 0 {
 		cfg.VNodes = DefaultVNodes
 	}
-	if cfg.Lanes <= 0 {
-		cfg.Lanes = 4
-	}
 	if cfg.Depth <= 0 {
-		cfg.Depth = 128
+		cfg.Depth = 512
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
@@ -227,7 +221,7 @@ func (p *Proxy) Serve(ln net.Listener) error {
 }
 
 // Shutdown stops accepting, unblocks every client reader, waits for
-// in-flight requests to answer, and tears down the backend pools.
+// in-flight requests to answer, and tears down the backend lanes.
 func (p *Proxy) Shutdown() {
 	p.cmu.Lock()
 	p.closed = true
@@ -252,21 +246,11 @@ func (p *Proxy) Shutdown() {
 	}
 }
 
-// nextLane deals the next lane index: one per client connection (its
-// read affinity) and one per unkeyed blocking round trip.
-func (p *Proxy) nextLane() int { return int(p.laneSeq.Add(1)) }
-
 // handle is the per-client-connection loop: the reader parses frames
 // and starts each op inline (data ops run as pooled state machines —
 // no goroutine per op); the writer streams the responses back strictly
 // in request order (the protocol's pipelining contract), gathering a
 // burst of completed responses into one writev.
-//
-// The backend hop batches the same way. Dispatch only queues frames on
-// lanes; the reader writes every lane it dirtied once its buffer holds
-// no further whole frame, so a client burst costs one writev per
-// dirtied lane. It also writes them before parking on a full order
-// queue: the writer it waits for may need one of those frames.
 func (p *Proxy) handle(c net.Conn) {
 	defer p.wg.Done()
 	defer func() {
@@ -275,12 +259,11 @@ func (p *Proxy) handle(c net.Conn) {
 		p.cmu.Unlock()
 		c.Close()
 	}()
-	order := make(chan *call, 4*p.cfg.Depth)
+	order := make(chan *call, p.cfg.Depth)
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go p.writeLoop(c, order, &wwg)
 	br := bufio.NewReaderSize(c, 64<<10)
-	bu := burst{lane: p.nextLane()}
 	var req []byte
 	for {
 		payload, err := kvstore.ReadFrame(br, req)
@@ -288,18 +271,8 @@ func (p *Proxy) handle(c net.Conn) {
 			break
 		}
 		req = payload
-		ca := p.dispatch(payload, &bu)
-		if !kvstore.FrameBuffered(br) {
-			bu.flush()
-		}
-		select {
-		case order <- ca:
-		default:
-			bu.flush()
-			order <- ca
-		}
+		order <- p.dispatch(payload)
 	}
-	bu.flush() // a malformed length reads as buffered, so frames may still be queued
 	close(order)
 	wwg.Wait()
 }
@@ -393,7 +366,7 @@ var (
 // budget (minus each backend's observed RTT) and refuse ops whose
 // budget is already spent before submitting anything — the
 // not-executed contract holds through the proxy.
-func (p *Proxy) dispatch(payload []byte, bu *burst) *call {
+func (p *Proxy) dispatch(payload []byte) *call {
 	ca := getCall()
 	p.routed.Add(1)
 	req, budget, okb := kvstore.SplitBudget(payload)
@@ -412,14 +385,14 @@ func (p *Proxy) dispatch(payload []byte, bu *burst) *call {
 			ca.fail(errShortReq)
 			return ca
 		}
-		p.startGet(req, key, deadline, ca, bu)
+		p.startGet(req, key, deadline, ca)
 	case kvstore.OpPut, kvstore.OpDel:
 		key, ok := kvstore.PayloadU64(req, 1)
 		if !ok {
 			ca.fail(errShortReq)
 			return ca
 		}
-		p.startWrite(req, key, deadline, ca, bu)
+		p.startWrite(req, key, deadline, ca)
 	case kvstore.OpScan:
 		from, ok1 := kvstore.PayloadU64(req, 1)
 		limit, ok2 := kvstore.PayloadU32(req, 9)
@@ -572,7 +545,7 @@ func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call) 
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			rc, err := b.roundTrip(reqb, false, 0)
+			rc, err := b.roundTrip(reqb)
 			if err != nil {
 				return
 			}
@@ -659,7 +632,7 @@ func (p *Proxy) doStats(ca *call) {
 	var schemes []string
 	reached := 0
 	for _, b := range t.backs {
-		rc, err := b.roundTrip([]byte{kvstore.OpStats}, false, 0)
+		rc, err := b.roundTrip([]byte{kvstore.OpStats})
 		if err != nil {
 			continue
 		}
@@ -723,9 +696,9 @@ func (p *Proxy) quiesce(timeout time.Duration) error {
 // doDrain inherits kvstore's quiescent-use-only DRAIN contract, and the
 // servers enforce it: OpDrain claims a backend's whole tid pool, so it
 // only proceeds once every other connection to that server — including
-// this proxy's own pool lanes — is gone. The proxy therefore stops all
-// pools, drains each backend over a fresh direct connection, then
-// rebuilds the pools (bootstrap: the stores are all empty now, so no
+// this proxy's own lanes — is gone. The proxy therefore stops all
+// lanes, drains each backend over a fresh direct connection, then
+// redials them (bootstrap: the stores are all empty now, so no
 // resync). Client ops that race the drain window fail fast; drain is an
 // operator action, not a data-path verb.
 func (p *Proxy) doDrain(ca *call) {
@@ -771,7 +744,7 @@ func (p *Proxy) doDrain(ca *call) {
 		return nil
 	}()
 
-	// Rebuild the pools on the same ring, carrying each backend's RTT
+	// Rebuild the backends on the same ring, carrying each backend's RTT
 	// history so hedge delays stay calibrated.
 	backs := make([]*backend, len(old.backs))
 	for i, ob := range old.backs {

@@ -55,7 +55,7 @@ func (b *testBackend) kill(t *testing.T) {
 
 func startCluster(t *testing.T, schemes []string, replicas int) (*Proxy, []*testBackend, string) {
 	t.Helper()
-	return startClusterWith(t, schemes, Config{Replicas: replicas, Lanes: 2, Depth: 64})
+	return startClusterWith(t, schemes, Config{Replicas: replicas, Depth: 128})
 }
 
 // startClusterWith is startCluster with the proxy's Config given; its

@@ -40,7 +40,7 @@ func (p *Proxy) placeTopo() *topology {
 }
 
 // authoritativeGet reads key from the first read-eligible replica that
-// answers, through the key-pinned lane so the read orders behind every
+// answers, through the backend's lane so the read orders behind every
 // client write already submitted for the key. This is the value
 // rebalancing propagates: by the ack invariant it reflects all acked
 // writes.
@@ -54,7 +54,7 @@ func (p *Proxy) authoritativeGet(k uint64) (uint64, bool, error) {
 		if !b.readEligible() {
 			continue
 		}
-		rc, err := b.roundTrip(reqb, true, k)
+		rc, err := b.roundTrip(reqb)
 		if err != nil {
 			continue
 		}
@@ -102,7 +102,7 @@ func (p *Proxy) forEachKey(sources []*backend, fn func(k uint64) error) error {
 			go func(i int, b *backend) {
 				defer wg.Done()
 				results[i] = sres{}
-				rc, err := b.roundTrip(req, false, 0)
+				rc, err := b.roundTrip(req)
 				if err != nil {
 					return
 				}
@@ -198,7 +198,7 @@ func (p *Proxy) copyKeyTo(k uint64, b *backend) (uint64, error) {
 		return 0, nil
 	}
 	var req [17]byte
-	rc, err := b.roundTrip(putReqB(req[:0], k, v), true, k)
+	rc, err := b.roundTrip(putReqB(req[:0], k, v))
 	if err != nil {
 		return 0, err
 	}
@@ -226,7 +226,7 @@ func (p *Proxy) deleteKeyOn(k uint64, b *backend, ownership bool) error {
 		}
 	}
 	var req [9]byte
-	rc, err := b.roundTrip(delReqB(req[:0], k), true, k)
+	rc, err := b.roundTrip(delReqB(req[:0], k))
 	if err != nil {
 		return err
 	}
@@ -248,9 +248,9 @@ func backsContain(t *topology, ids []int32, b *backend) bool {
 // authoritative value copied in, then the reconcile pass deletes keys b
 // still holds from before it went away — either because ownership moved
 // or because the key was deleted while b was gone. Runs concurrently
-// with client traffic; stripe locks plus key-pinned lanes serialize it
-// against writes. Called by the backend monitor (rejoins) and by
-// AddBackend (joins, through the monitor's first connect).
+// with client traffic; stripe locks plus each backend's one lane
+// serialize it against writes. Called by the backend monitor (rejoins)
+// and by AddBackend (joins, through the monitor's first connect).
 func (p *Proxy) resync(b *backend) error {
 	var sources []*backend
 	for _, s := range p.topo.Load().backs {

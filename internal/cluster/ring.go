@@ -1,7 +1,7 @@
 // Package cluster is orccluster: a consistent-hash sharded proxy that
 // fronts N kvserver backends (each free to run a different reclamation
 // scheme) behind the same length-prefixed wire protocol, adding
-// replication, hedged reads, circuit-broken connection pools, and live
+// replication, hedged reads, circuit-broken backend lanes, and live
 // topology changes. Existing clients (kvload, kvstore.Client) work
 // against a proxy unmodified.
 //
@@ -35,7 +35,7 @@ import "sort"
 
 // Ring is an immutable consistent-hash partition map. Node ids are
 // indices into Nodes; Lookup returns ids, and the proxy maps them to
-// backend pools.
+// backends.
 type Ring struct {
 	Nodes  []string // backend addresses in join order
 	VNodes int      // virtual-node budget per backend (sizes the slot table)

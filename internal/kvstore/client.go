@@ -361,7 +361,7 @@ func (cl *Client) RecvRaw(dst []byte) ([]byte, error) {
 // buffered: a frame in the buffer needs no socket read to bound.
 func (cl *Client) RecvFrame(dst []byte) ([]byte, error) {
 	cl.consumed = false
-	if cl.opts.ReadTimeout > 0 && !FrameBuffered(cl.br) {
+	if cl.opts.ReadTimeout > 0 && !frameBuffered(cl.br) {
 		cl.c.SetReadDeadline(time.Now().Add(cl.opts.ReadTimeout))
 		defer cl.c.SetReadDeadline(time.Time{})
 	}

@@ -155,6 +155,19 @@ func readFrameBuffered(br *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// frameBuffered reports whether br already holds one whole frame, so
+// the next frame read from it cannot block on the network. A malformed
+// length reads as buffered: the read then fails without waiting.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	sz := binary.LittleEndian.Uint32(hdr)
+	return sz == 0 || sz > MaxFrame || n >= 4+int(sz)
+}
+
 // AppendBudget appends a budget-prefixed op header (op|OpFlagBudget and
 // the budget in microseconds, clamped to [1µs, maxBudget]) to dst. The
 // caller appends the op's usual fields after it.
@@ -218,21 +231,6 @@ func appendFrame(dst, payload []byte) []byte {
 // payloads to backends verbatim.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
 func AppendFrame(dst, payload []byte) []byte            { return appendFrame(dst, payload) }
-
-// FrameBuffered reports whether br already holds one whole frame, so
-// the next ReadFrame from it cannot block on the network. The proxy's
-// client reader writes its queued backend frames once this turns
-// false: the end of a client burst. A malformed length reads as
-// buffered — ReadFrame then fails without waiting.
-func FrameBuffered(br *bufio.Reader) bool {
-	n := br.Buffered()
-	if n < 4 {
-		return false
-	}
-	hdr, _ := br.Peek(4)
-	sz := binary.LittleEndian.Uint32(hdr)
-	return sz == 0 || sz > MaxFrame || n >= 4+int(sz)
-}
 
 // Field accessors for proxies that route on the key without decoding
 // the full request.

@@ -82,7 +82,7 @@ func RunCluster(cfg Config) *Verdict {
 		backs[i] = b
 	}
 	addrs := []string{backs[0].addr, backs[1].addr, backs[2].addr}
-	p := cluster.New(cluster.Config{Backends: addrs, Replicas: 2, Lanes: 2, Depth: 64})
+	p := cluster.New(cluster.Config{Backends: addrs, Replicas: 2, Depth: 128})
 	if err := p.WaitReady(10 * time.Second); err != nil {
 		v.failf("proxy: %v", err)
 		return v
