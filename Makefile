@@ -6,7 +6,7 @@ GO ?= go
 # lock-free metrics registry all of them report into.
 RACE_PKGS = ./internal/arena/ ./internal/core/ ./internal/reclaim/ ./internal/kvstore/ ./internal/cluster/ ./internal/obs/ ./internal/torture/
 
-.PHONY: check vet orcvet build test race race-peek cluster-guards bench bench-smoke serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke profile-cluster clean
+.PHONY: check vet orcvet build test race race-peek cluster-guards bench bench-smoke serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke fuzz-smoke profile-cluster clean
 
 BIN = bin
 
@@ -171,6 +171,17 @@ overload-smoke:
 	$(GO) build -race -o bin/kvserver ./cmd/kvserver
 	$(GO) build -race -o bin/kvload ./cmd/kvload
 	sh scripts/overload_smoke.sh
+
+# Fuzz smoke: 10s of native fuzzing per request-decoding target, from
+# the committed seed corpus (internal/kvstore/testdata/fuzz: the chaos
+# subject's truncated and aborted frames plus budget-flagged variants).
+# FuzzSplitBudget round-trips the budget codec; FuzzServeRequest feeds
+# arbitrary payloads through the server's per-request path and requires
+# one well-formed response frame each. go test -fuzz takes one target
+# per run.
+fuzz-smoke:
+	$(GO) test ./internal/kvstore/ -run '^$$' -fuzz '^FuzzSplitBudget$$' -fuzztime 10s
+	$(GO) test ./internal/kvstore/ -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s
 
 # Capture a 10s CPU profile of kvproxy under load (bin/kvproxy +
 # /debug/pprof via -pprof); see scripts/profile_cluster.sh.

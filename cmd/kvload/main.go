@@ -3,15 +3,13 @@
 //
 //	kvload -addr 127.0.0.1:7070 -conns 8 -rate 20000 -duration 5s \
 //	       -dist zipfian -theta 0.99 -keys 100000 -mix get=50,put=45,del=4,scan=1
-//	kvload -conns 16 -budget 250ms     # per-op wire budget (v1 servers)
+//	kvload -conns 16 -budget 250ms     # per-op wire execution budget
 //
-// With -budget > 0 each connection negotiates the wire version and
-// attaches the budget to every op; a server that refuses an op with
-// StatusOverloaded or StatusDeadlineExceeded (admission control / the
-// budget expiring in its queue) is counted in the shed/expired columns
-// instead of as an error, and refusals never pollute the latency
-// distribution. Against a pre-versioning server the flag degrades to
-// plain unbudgeted ops.
+// With -budget > 0 every op carries the budget on the wire; a server
+// that refuses an op with StatusOverloaded or StatusDeadlineExceeded
+// (admission control / the budget expiring in its queue) is counted in
+// the shed/expired columns instead of as an error, and refusals never
+// pollute the latency distribution.
 //
 // With -rate > 0 each connection paces sends on its own schedule and
 // latency is measured from the *scheduled* send time, so queueing delay
@@ -23,7 +21,8 @@
 // The run ends in one summary line on stdout, led by the server's
 // scheme (fetched via STATS). Every connection records into one shared
 // obs.Hist; only post-warmup, accepted ops count toward throughput and
-// the percentiles.
+// the percentiles. With -drain the run then sends DRAIN, and kvload
+// exits non-zero if DRAIN fails or its leak check does.
 package main
 
 import (
@@ -103,14 +102,6 @@ func runConn(addr string, opts []kvstore.Option, hist *obs.Hist, seed int64, dea
 		return connResult{}, err
 	}
 	defer cl.Close()
-	if budget > 0 {
-		// Budgets only ride the wire on a negotiated v1 connection; a
-		// pre-versioning server negotiates down and the Send*Budget
-		// helpers silently fall back to plain ops.
-		if _, err := cl.Negotiate(context.Background()); err != nil {
-			return connResult{}, fmt.Errorf("negotiate: %w", err)
-		}
-	}
 
 	r := rand.New(rand.NewSource(seed))
 	var gen keyGen
@@ -243,12 +234,12 @@ func main() {
 	mixFlag := flag.String("mix", "get=50,put=45,del=4,scan=1", "op mix, weights summing to 100")
 	scanLen := flag.Uint("scanlen", 16, "keys per scan")
 	preload := flag.Bool("preload", true, "insert the whole keyspace before the run")
-	drain := flag.Bool("drain", false, "send DRAIN after the run; a failed leak check is reported on stderr")
+	drain := flag.Bool("drain", false, "send DRAIN after the run; exit non-zero if it fails or its leak check does")
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "TCP connect timeout")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-read/per-flush timeout (0 = none)")
 	dialRetries := flag.Int("dial-retries", 3, "extra connect attempts (covers a server still starting)")
-	budget := flag.Duration("budget", 0, "per-op wire execution budget (0 = none; needs a v1 server)")
+	budget := flag.Duration("budget", 0, "per-op wire execution budget (0 = none)")
 	flag.Parse()
 
 	m, err := parseMix(*mixFlag)
@@ -306,7 +297,7 @@ func main() {
 
 	// Against a kvproxy, hedge counters bracket the run so the report can
 	// show how many reads the hedge actually rescued.
-	hedge0, wins0, isProxy := hedgeCounters(ctl)
+	info0, isProxy := clusterInfo(ctl)
 
 	var interval time.Duration
 	if *rate > 0 {
@@ -343,39 +334,72 @@ func main() {
 	lat := hist.Summary()
 	hedged := ""
 	if isProxy {
-		if hedge1, wins1, ok := hedgeCounters(ctl); ok {
-			hedged = fmt.Sprintf(", %d/%d hedge wins", wins1-wins0, hedge1-hedge0)
-		}
-	}
-	if *drain {
-		if dr, err := ctl.Drain(context.Background()); err != nil {
-			fmt.Fprintf(os.Stderr, "kvload: DRAIN: %v\n", err)
-		} else if !dr.LeakOK {
-			fmt.Fprintf(os.Stderr, "kvload: DRAIN: leak check failed: %+v\n", dr)
+		if info1, ok := clusterInfo(ctl); ok {
+			hedged = fmt.Sprintf(", %d/%d hedge wins",
+				info1.HedgeWins-info0.HedgeWins, info1.HedgesFired-info0.HedgesFired)
 		}
 	}
 	ctl.Close()
+	var drainErr error
+	if *drain {
+		drainErr = drainTarget(addrs[0], *dialTimeout, *dialRetries, len(info0.Nodes))
+	}
 
 	fmt.Printf("%-8s %8.0f ops/s  p50 %.1fus  p99 %.1fus  p999 %.1fus  (%d ops, %d errs, %d shed, %d expired%s)\n",
 		stats.Scheme, float64(lat.Count)/duration.Seconds(),
 		lat.P50Us, lat.P99Us, lat.P999Us,
 		total.ops, total.errs, total.shed, total.expired, hedged)
+	if drainErr != nil {
+		fmt.Fprintf(os.Stderr, "kvload: DRAIN: %v\n", drainErr)
+		os.Exit(1)
+	}
 }
 
-// hedgeCounters reads the target's hedge counters via CLUSTER_INFO. A
-// plain kvserver answers the admin verb with an Err frame; callers
-// treat that as "not a proxy" and skip the columns silently.
-func hedgeCounters(cl *kvstore.Client) (fired, wins uint64, ok bool) {
+// proxyInfo is the part of a kvproxy's CLUSTER_INFO kvload reads.
+type proxyInfo struct {
+	HedgesFired uint64            `json:"hedges_fired"`
+	HedgeWins   uint64            `json:"hedge_wins"`
+	Nodes       []json.RawMessage `json:"nodes"`
+}
+
+// clusterInfo reads the target's CLUSTER_INFO. A plain kvserver answers
+// the admin verb with an Err frame; callers treat that as "not a proxy"
+// and skip the hedge columns silently.
+func clusterInfo(cl *kvstore.Client) (proxyInfo, bool) {
+	var info proxyInfo
 	raw, err := cl.ClusterInfo(context.Background())
+	if err != nil || json.Unmarshal(raw, &info) != nil {
+		return proxyInfo{}, false
+	}
+	return info, true
+}
+
+// drainTarget sends DRAIN over a fresh connection bounded by the
+// target's own worst case rather than the per-read -io-timeout: a
+// kvproxy first waits up to a minute for any resync to settle, then
+// drains its backends one at a time, each allowed a minute (the tid
+// barrier alone can take 30s). A plain kvserver counts as one backend.
+// The data connections and the control connection are closed first:
+// DRAIN is quiescent-use-only, and a kvserver's barrier waits for every
+// other connection to go.
+func drainTarget(addr string, dialTimeout time.Duration, dialRetries, backends int) error {
+	if backends < 1 {
+		backends = 1
+	}
+	limit := time.Minute * time.Duration(1+backends)
+	cl, err := kvstore.Dial(addr, kvstore.WithDialTimeout(dialTimeout), kvstore.WithRetries(dialRetries))
 	if err != nil {
-		return 0, 0, false
+		return err
 	}
-	var info struct {
-		HedgesFired uint64 `json:"hedges_fired"`
-		HedgeWins   uint64 `json:"hedge_wins"`
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), limit)
+	defer cancel()
+	dr, err := cl.Drain(ctx)
+	if err != nil {
+		return err
 	}
-	if json.Unmarshal(raw, &info) != nil {
-		return 0, 0, false
+	if !dr.LeakOK {
+		return fmt.Errorf("leak check failed: %+v", dr)
 	}
-	return info.HedgesFired, info.HedgeWins, true
+	return nil
 }

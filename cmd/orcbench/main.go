@@ -4,22 +4,27 @@
 //	orcbench -fig all                      # everything, CI scale
 //	orcbench -fig 3 -threads 1,2,4,8,16 -duration 2s -runs 5
 //	orcbench -fig mem -out data/           # §5 footprint + TSV files
+//	orcbench -fig 3,4,5,6                  # several figures in one run
 //
 // Figure ids: 1 2 3 4 5 6 7 8 mem table1 (see DESIGN.md §3 for the
-// mapping to the paper's evaluation).
+// mapping to the paper's evaluation). The artifact's per-experiment
+// binaries are id lists: q-ll-enq-deq is -fig 1,2, set-ll-1k is
+// -fig 3,4,5,6, set-tree-1m is -fig 7,8 and set-skiplist-1m is
+// -fig 7,8,mem (-keys-big 1000000 for the paper's key range).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure id (1..8, mem, table1) or 'all'")
+	fig := flag.String("fig", "all", "comma-separated figure ids (1..8, mem, table1) or 'all'")
 	threads := flag.String("threads", "1,2,4,8", "comma-separated thread counts")
 	duration := flag.Duration("duration", 300*time.Millisecond, "measurement time per point")
 	runs := flag.Int("runs", 1, "runs per point (mean reported; paper used 5)")
@@ -45,7 +50,7 @@ func main() {
 		SamplePeriod: *sample,
 	}
 
-	ids := []string{*fig}
+	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
 		ids = bench.FigureIDs()
 	}

@@ -407,7 +407,6 @@ type backend struct {
 	laneFrames atomic.Int64
 
 	scheme atomic.Pointer[string] // reclamation scheme reported by the backend's STATS
-	proto  atomic.Int32           // wire version negotiated at connect (0 = pre-budget server)
 
 	rtt       *obs.Hist
 	rttN      atomic.Uint64
@@ -547,15 +546,8 @@ func (b *backend) connect(gen uint64) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Two round trips before the lane goes live: HELLO (records whether
-	// this backend understands budget prefixes — a pre-versioning server
-	// negotiates down to 0) and STATS (records the reclamation scheme).
-	ver, err := cl.Negotiate(context.Background())
-	if err != nil {
-		cl.Close()
-		return nil, fmt.Errorf("cluster: %s HELLO: %w", b.addr, err)
-	}
-	b.proto.Store(int32(ver))
+	// One round trip before the lane goes live: STATS records the
+	// reclamation scheme.
 	st, err := cl.Stats(context.Background())
 	if err != nil {
 		cl.Close()

@@ -153,19 +153,6 @@ func (op *getOp) frameFor(b *backend) *wireBuf {
 		return op.frame
 	}
 	rem := time.Until(op.deadline)
-	if b.proto.Load() < 1 {
-		if rem <= 0 {
-			return nil
-		}
-		// Pre-budget backend: forward a plain frame (the proxy-side
-		// deadline still applies), built from the master's fields.
-		nf := getWire()
-		nf.b = append(nf.b, 0, 0, 0, 0)
-		nf.b = append(nf.b, op.frame.b[4]&^kvstore.OpFlagBudget)
-		nf.b = append(nf.b, op.frame.b[9:]...)
-		sealWire(nf)
-		return nf
-	}
 	// The backend's budget clock restarts at its parse, so the hop over
 	// there must be paid out of the forwarded budget here. A cold RTT
 	// estimate reads 0, but the hop is never actually free — floor it,

@@ -26,7 +26,6 @@ func stubProxy(nback int) *Proxy {
 		addrs[i] = fmt.Sprintf("stub-%d", i)
 		b := newBackend(p, addrs[i], nil)
 		b.state.Store(stateHealthy)
-		b.proto.Store(1)
 		b.testSubmit = func(fr *wireBuf, ca *call) bool {
 			rb := getBuf()
 			*rb = append((*rb)[:0], 9, 0, 0, 0, kvstore.StatusOK)

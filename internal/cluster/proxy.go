@@ -401,14 +401,6 @@ func (p *Proxy) dispatch(payload []byte) *call {
 			return ca
 		}
 		go p.doScan(from, limit, deadline, ca)
-	case kvstore.OpHello:
-		// The proxy terminates negotiation itself: it can always strip
-		// budgets, downgrading per backend as needed, so it answers v1
-		// regardless of what the backends speak.
-		buf := getBuf()
-		*buf = append((*buf)[:0], 5, 0, 0, 0, kvstore.StatusOK)
-		*buf = kvstore.AppendU32(*buf, kvstore.ProtoVersion)
-		ca.complete(buf)
 	case kvstore.OpStats:
 		go p.doStats(ca)
 	case kvstore.OpDrain:

@@ -415,9 +415,6 @@ func TestHedgeWarmup(t *testing.T) {
 func TestProxyBudgetExpiry(t *testing.T) {
 	p, _, addr := startCluster(t, []string{"orcgc", "hp"}, 2)
 	cl := proxyClient(t, addr)
-	if ver, err := cl.Negotiate(ctx); err != nil || ver != kvstore.ProtoVersion {
-		t.Fatalf("Negotiate through proxy = %d, %v", ver, err)
-	}
 
 	// A healthy budget flows through end to end.
 	if ins, err := cl.Put(ctx, 77, 770); err != nil || !ins {

@@ -103,101 +103,25 @@ func TestAdmissionPolicy(t *testing.T) {
 	}
 }
 
-// HELLO against a current server negotiates v1, the result is cached,
-// and budgeted round trips work end to end afterwards.
-func TestNegotiateV1(t *testing.T) {
+// A ctx deadline rides the wire as a budget with no handshake first,
+// and a generous one lets the ops succeed end to end.
+func TestBudgetedRoundTrip(t *testing.T) {
 	_, _, addr := startServer(t, "orcgc", 4)
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if v := cl.Proto(); v != 0 {
-		t.Fatalf("pre-negotiation Proto() = %d", v)
-	}
-	ver, err := cl.Negotiate(ctx)
-	if err != nil || ver != ProtoVersion {
-		t.Fatalf("Negotiate = %d, %v; want %d", ver, err, ProtoVersion)
-	}
-	if v := cl.Proto(); v != ProtoVersion {
-		t.Fatalf("Proto() = %d after negotiation", v)
-	}
-	if ver, err = cl.Negotiate(ctx); err != nil || ver != ProtoVersion {
-		t.Fatalf("cached Negotiate = %d, %v", ver, err)
-	}
-	// A generous ctx deadline rides the wire as a budget and the op
-	// still succeeds.
 	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
+	if b, err := cl.budgetFor(dctx); err != nil || b <= 0 {
+		t.Fatalf("budgetFor = %v, %v; want a positive budget", b, err)
+	}
 	if ins, err := cl.Put(dctx, 7, 70); err != nil || !ins {
 		t.Fatalf("budgeted Put = %v, %v", ins, err)
 	}
 	if v, ok, err := cl.Get(dctx, 7); err != nil || !ok || v != 70 {
 		t.Fatalf("budgeted Get = %d, %v, %v", v, ok, err)
-	}
-}
-
-// errServer answers every frame with a well-formed Err frame — the
-// shape of a pre-versioning server that does not know HELLO.
-func errServer(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				var buf []byte
-				for {
-					if _, err := readFrame(c, buf); err != nil {
-						return
-					}
-					resp := appendFrame(nil, append([]byte{StatusErr}, "unknown op"...))
-					if _, err := c.Write(resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// HELLO against a pre-versioning server (which answers it like any
-// unknown op, with an Err frame) negotiates down to v0 without an
-// error or a connection reset, and the client then never emits budget
-// prefixes the old server would choke on.
-func TestNegotiateV0Fallback(t *testing.T) {
-	addr := errServer(t)
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ver, err := cl.Negotiate(ctx)
-	if err != nil || ver != 0 {
-		t.Fatalf("Negotiate against v0 server = %d, %v; want 0, nil", ver, err)
-	}
-	if v := cl.Proto(); v != 0 {
-		t.Fatalf("Proto() = %d after v0 fallback", v)
-	}
-	// A ctx deadline must NOT grow a budget prefix on a v0 connection:
-	// the fake answers the op (proving the op byte was one it could
-	// parse as a frame) and the client maps its Err normally.
-	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if b, err := cl.budgetFor(dctx); err != nil || b != 0 {
-		t.Fatalf("budgetFor on v0 conn = %v, %v; want 0", b, err)
-	}
-	if _, _, err := cl.Get(dctx, 1); err == nil {
-		t.Fatal("errServer Get returned no error")
 	}
 }
 
@@ -225,9 +149,6 @@ func TestBudgetExpiresInQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Negotiate(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	// Hold the only inflight slot so the op must queue until its budget
 	// runs out. (Same-package test: the slot channel is the admission
@@ -370,10 +291,6 @@ func TestSaturationAccounting(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			if _, err := cl.Negotiate(ctx); err != nil {
-				t.Error(err)
-				return
-			}
 			count := func(err error) bool {
 				switch {
 				case err == nil:

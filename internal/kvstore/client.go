@@ -10,12 +10,11 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // ErrDeadlineExceeded and ErrOverloaded are the client-side faces of
-// the two v1 shed statuses. Both carry the server's contract that the
+// the two shed statuses. Both carry the server's contract that the
 // op was refused *before* execution — a Put answered with either
 // provably had no effect.
 var (
@@ -30,12 +29,12 @@ var (
 // goroutine may call Send*/Flush and at most one may call Recv* at a
 // time (they may be different goroutines).
 //
-// The blocking helpers (Get/Put/Del/Scan/Stats/Drain/Negotiate/
-// Cluster*) each do a full round trip and must not be mixed with
-// outstanding pipelined requests — but they MAY be called from any
-// number of goroutines concurrently with each other: a ticket queue
-// (see startOp) serializes them in send order, and a cancelled ctx
-// aborts only its own op's wait, never a neighbour's.
+// The blocking helpers (Get/Put/Del/Scan/Stats/Drain/Cluster*) each do
+// a full round trip and must not be mixed with outstanding pipelined
+// requests — but they MAY be called from any number of goroutines
+// concurrently with each other: a ticket queue (see startOp) serializes
+// them in send order, and a cancelled ctx aborts only its own op's wait,
+// never a neighbour's.
 type Client struct {
 	c    net.Conn
 	bw   *bufio.Writer
@@ -44,10 +43,6 @@ type Client struct {
 
 	wbuf []byte
 	rbuf []byte
-
-	// proto is the negotiated wire version + 1 (0 = never negotiated;
-	// an un-negotiated connection conservatively speaks v0).
-	proto atomic.Int32
 
 	// Blocking-helper response FIFO. hmu guards send order, the ticket
 	// list, and skips; consumed is touched only by the current head
@@ -256,109 +251,66 @@ func (cl *Client) CloseWrite() error {
 	return nil
 }
 
-func (cl *Client) send(payload []byte) {
-	cl.wbuf = appendFrame(cl.wbuf[:0], payload)
+// header starts one request frame in cl.wbuf: the length prefix, then
+// the op byte, budget-flagged with its µs field when budget > 0. The
+// caller appends the op's fields and hands the frame to queue.
+func (cl *Client) header(op uint8, budget time.Duration) []byte {
+	b, _ := beginFrame(cl.wbuf[:0])
+	if budget > 0 {
+		return AppendBudget(b, op, budget)
+	}
+	return append(b, op)
+}
+
+// queue back-fills the frame's length prefix and buffers it for Flush.
+func (cl *Client) queue(b []byte) {
+	cl.wbuf = endFrame(b, 4)
 	cl.bw.Write(cl.wbuf)
 }
 
 // SendGet queues a GET.
-func (cl *Client) SendGet(key uint64) {
-	p := []byte{OpGet}
-	cl.send(appendU64(p, key))
-}
+func (cl *Client) SendGet(key uint64) { cl.SendGetBudget(key, 0) }
 
 // SendPut queues a PUT.
-func (cl *Client) SendPut(key, val uint64) {
-	p := []byte{OpPut}
-	p = appendU64(p, key)
-	cl.send(appendU64(p, val))
-}
+func (cl *Client) SendPut(key, val uint64) { cl.SendPutBudget(key, val, 0) }
 
 // SendDel queues a DEL.
-func (cl *Client) SendDel(key uint64) {
-	p := []byte{OpDel}
-	cl.send(appendU64(p, key))
-}
+func (cl *Client) SendDel(key uint64) { cl.SendDelBudget(key, 0) }
 
 // SendScan queues a SCAN.
-func (cl *Client) SendScan(from uint64, limit uint32) {
-	p := []byte{OpScan}
-	p = appendU64(p, from)
-	cl.send(appendU32(p, limit))
-}
+func (cl *Client) SendScan(from uint64, limit uint32) { cl.SendScanBudget(from, limit, 0) }
 
-// SendGetBudget queues a GET carrying an execution budget. A budget ≤ 0
-// or an un-negotiated/v0 connection falls back to a plain GET — old
-// servers would reject the flagged op byte.
+// SendGetBudget queues a GET carrying an execution budget; a budget ≤ 0
+// sends a plain GET.
 func (cl *Client) SendGetBudget(key uint64, budget time.Duration) {
-	if budget <= 0 || cl.proto.Load() < ProtoVersion+1 {
-		cl.SendGet(key)
-		return
-	}
-	p := AppendBudget(make([]byte, 0, 13), OpGet, budget)
-	cl.send(appendU64(p, key))
+	cl.queue(appendU64(cl.header(OpGet, budget), key))
 }
 
 // SendPutBudget queues a PUT carrying an execution budget.
 func (cl *Client) SendPutBudget(key, val uint64, budget time.Duration) {
-	if budget <= 0 || cl.proto.Load() < ProtoVersion+1 {
-		cl.SendPut(key, val)
-		return
-	}
-	p := AppendBudget(make([]byte, 0, 21), OpPut, budget)
-	p = appendU64(p, key)
-	cl.send(appendU64(p, val))
+	cl.queue(appendU64(appendU64(cl.header(OpPut, budget), key), val))
 }
 
 // SendDelBudget queues a DEL carrying an execution budget.
 func (cl *Client) SendDelBudget(key uint64, budget time.Duration) {
-	if budget <= 0 || cl.proto.Load() < ProtoVersion+1 {
-		cl.SendDel(key)
-		return
-	}
-	p := AppendBudget(make([]byte, 0, 13), OpDel, budget)
-	cl.send(appendU64(p, key))
+	cl.queue(appendU64(cl.header(OpDel, budget), key))
 }
 
 // SendScanBudget queues a SCAN carrying an execution budget.
 func (cl *Client) SendScanBudget(from uint64, limit uint32, budget time.Duration) {
-	if budget <= 0 || cl.proto.Load() < ProtoVersion+1 {
-		cl.SendScan(from, limit)
-		return
-	}
-	p := AppendBudget(make([]byte, 0, 17), OpScan, budget)
-	p = appendU64(p, from)
-	cl.send(appendU32(p, limit))
+	cl.queue(appendU32(appendU64(cl.header(OpScan, budget), from), limit))
 }
 
 // SendStats queues a STATS.
-func (cl *Client) SendStats() { cl.send([]byte{OpStats}) }
-
-// SendRaw queues an already-encoded request payload (op byte plus
-// fields). The cluster proxy forwards client payloads to backends with
-// this, so a protocol extension never needs a matching proxy release.
-func (cl *Client) SendRaw(payload []byte) { cl.send(payload) }
-
-// RecvRaw reads one response payload, appending it (status byte
-// included) to dst and returning the extended slice. Unlike the typed
-// Recv* helpers it does not convert non-OK statuses into Go errors — a
-// proxy forwards error frames to its own client verbatim.
-func (cl *Client) RecvRaw(dst []byte) ([]byte, error) {
-	p, err := cl.recvRaw()
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, p...), nil
-}
+func (cl *Client) SendStats() { cl.queue(cl.header(OpStats, 0)) }
 
 // RecvFrame reads one response frame and appends it *whole* — 4-byte
 // length prefix included — to dst, returning the extended slice. This
 // is the forwarding-proxy receive path: the captured frame can be
-// written verbatim to another connection with no re-framing and no
-// second copy (RecvRaw round-trips the payload through the client's
-// internal buffer; RecvFrame copies straight out of the read buffer).
-// The read deadline is armed only when the frame is not already
-// buffered: a frame in the buffer needs no socket read to bound.
+// written verbatim to another connection with no re-framing, copied
+// straight out of the read buffer. The read deadline is armed only when
+// the frame is not already buffered: a frame in the buffer needs no
+// socket read to bound.
 func (cl *Client) RecvFrame(dst []byte) ([]byte, error) {
 	cl.consumed = false
 	if cl.opts.ReadTimeout > 0 && !frameBuffered(cl.br) {
@@ -405,7 +357,7 @@ func (cl *Client) WriteFrames(bufs *net.Buffers) error {
 }
 
 // SendDrain queues a DRAIN (quiescent use only).
-func (cl *Client) SendDrain() { cl.send([]byte{OpDrain}) }
+func (cl *Client) SendDrain() { cl.queue(cl.header(OpDrain, 0)) }
 
 // Flush pushes all queued requests to the wire.
 func (cl *Client) Flush() error {
@@ -683,9 +635,8 @@ func (cl *Client) finishTurn(owed int) {
 }
 
 // budgetFor derives the wire budget from ctx: the remaining time to its
-// deadline when the connection has negotiated v1, 0 (no budget field)
-// otherwise. An already-expired ctx fails the op before any bytes go
-// out.
+// deadline, or 0 (no budget field) when ctx has none. An already-expired
+// ctx fails the op before any bytes go out.
 func (cl *Client) budgetFor(ctx context.Context) (time.Duration, error) {
 	if ctx == nil {
 		return 0, nil
@@ -694,7 +645,7 @@ func (cl *Client) budgetFor(ctx context.Context) (time.Duration, error) {
 		return 0, fmt.Errorf("kvstore: %w", context.Cause(ctx))
 	}
 	dl, ok := ctx.Deadline()
-	if !ok || cl.proto.Load() < ProtoVersion+1 {
+	if !ok {
 		return 0, nil
 	}
 	d := time.Until(dl)
@@ -704,56 +655,9 @@ func (cl *Client) budgetFor(ctx context.Context) (time.Duration, error) {
 	return d, nil
 }
 
-// Negotiate performs the HELLO round trip and caches the wire version
-// shared with the server. A pre-versioning server answers HELLO like
-// any unknown op — with an Err frame — which negotiates down to v0, so
-// Negotiate never errors on version grounds. Until Negotiate succeeds
-// the connection conservatively speaks v0 (no budget prefixes).
-func (cl *Client) Negotiate(ctx context.Context) (int, error) {
-	if v := cl.proto.Load(); v > 0 {
-		return int(v) - 1, nil
-	}
-	t, err := cl.startOp(func() {
-		p := []byte{OpHello}
-		cl.send(appendU32(p, ProtoVersion))
-	})
-	if err != nil {
-		return 0, err
-	}
-	ver := 0
-	err = cl.finishOp(ctx, t, func() error {
-		p, e := cl.recvRaw()
-		if e != nil {
-			return e
-		}
-		if p[0] == StatusOK {
-			if v, ok := getU32(p, 1); ok {
-				ver = int(v)
-				if ver > ProtoVersion {
-					ver = ProtoVersion
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	cl.proto.Store(int32(ver) + 1)
-	return ver, nil
-}
-
-// Proto reports the negotiated wire version (0 before Negotiate).
-func (cl *Client) Proto() int {
-	if v := cl.proto.Load(); v > 0 {
-		return int(v) - 1
-	}
-	return 0
-}
-
 // Get is a blocking round trip; cancelling ctx aborts this op's wait
-// (never a concurrent op's) without closing the connection. On a v1
-// connection a ctx deadline also rides the wire as an execution budget.
+// (never a concurrent op's) without closing the connection. A ctx
+// deadline also rides the wire as an execution budget.
 func (cl *Client) Get(ctx context.Context, key uint64) (uint64, bool, error) {
 	budget, err := cl.budgetFor(ctx)
 	if err != nil {
@@ -861,15 +765,7 @@ func (cl *Client) clusterRPC(ctx context.Context, op uint8, addr string, out any
 	if err != nil {
 		return err
 	}
-	t, err := cl.startOp(func() {
-		var p []byte
-		if budget > 0 {
-			p = AppendBudget(p, op, budget)
-		} else {
-			p = []byte{op}
-		}
-		cl.send(append(p, addr...))
-	})
+	t, err := cl.startOp(func() { cl.queue(append(cl.header(op, budget), addr...)) })
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"bufio"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -48,5 +50,26 @@ func TestJitterBackoffSpreads(t *testing.T) {
 	// jittered doubling never reorders attempts across rungs.
 	if jitterBackoff(d, 0.9999999) >= jitterBackoff(2*d, 0) {
 		t.Error("jitter windows of adjacent backoff rungs overlap")
+	}
+}
+
+// TestPipelinedSendZeroAlloc: every Send* encodes its frame straight
+// into the connection's reusable request buffer, so a warm pipelined
+// sender allocates nothing per request, budgeted or not.
+func TestPipelinedSendZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race pass")
+	}
+	cl := &Client{bw: bufio.NewWriterSize(io.Discard, 64<<10)}
+	send := func() {
+		cl.SendGet(1)
+		cl.SendPut(2, 20)
+		cl.SendDel(3)
+		cl.SendScan(4, 16)
+		cl.SendGetBudget(5, time.Millisecond)
+	}
+	send() // size the request buffer
+	if n := testing.AllocsPerRun(200, send); n != 0 {
+		t.Fatalf("%v allocations per 5 pipelined sends, want 0", n)
 	}
 }

@@ -24,19 +24,12 @@ import (
 //	STATS                        → OK: JSON bytes (kvstore.Stats)
 //	DRAIN                        → OK: JSON bytes (kvstore.DrainReport);
 //	                               quiescent use only (no other traffic)
-//	HELLO client-version u32     → OK: server-version u32; the pair
-//	                               speaks min(client, server)
 //
 // Err responses carry a UTF-8 message.
 //
-// Version negotiation (wire v1): a pre-versioning server answers HELLO
-// like any unknown op — with a well-formed Err frame — so a v1 client
-// negotiates down to v0 without a connection reset. Servers never
-// initiate; an un-negotiated connection is treated as v0 by both sides.
-//
-// Execution budgets (wire v1): any data-op request may carry a budget by
-// OR-ing OpFlagBudget into the op byte and inserting the remaining
-// budget, in microseconds, directly after it:
+// Execution budgets: any data-op request may carry a budget by OR-ing
+// OpFlagBudget into the op byte and inserting the remaining budget, in
+// microseconds, directly after it:
 //
 //	budgeted frame: u32 payloadLen | u8 op|OpFlagBudget | u32 budgetUs | fields
 //
@@ -44,7 +37,9 @@ import (
 // re-checks it at dequeue (after any admission-queue wait): an expired
 // op is answered StatusDeadlineExceeded *instead of being executed*, and
 // an op refused by admission control is answered StatusOverloaded.
-// Either status is a contract that the op had no effect.
+// Either status is a contract that the op had no effect. The flag is
+// self-describing per frame, so there is one wire version and no
+// handshake: every peer parses a flagged frame and a plain one alike.
 const (
 	OpGet   = uint8(1)
 	OpPut   = uint8(2)
@@ -52,7 +47,6 @@ const (
 	OpScan  = uint8(4)
 	OpStats = uint8(5)
 	OpDrain = uint8(6)
-	OpHello = uint8(7)
 
 	// OpFlagBudget marks a request op byte as budget-prefixed. High bit
 	// so the flagged range can never collide with a real op.
@@ -64,10 +58,6 @@ const (
 	StatusDeadlineExceeded = uint8(3)
 	StatusOverloaded       = uint8(4)
 )
-
-// ProtoVersion is the highest wire version this build speaks: v1 adds
-// HELLO negotiation, budget prefixes, and the two shed statuses.
-const ProtoVersion = 1
 
 // maxBudget caps the on-wire budget; anything longer is indistinguishable
 // from "no deadline" in practice and must still fit the u32 µs field.
@@ -172,15 +162,14 @@ func frameBuffered(br *bufio.Reader) bool {
 // the budget in microseconds, clamped to [1µs, maxBudget]) to dst. The
 // caller appends the op's usual fields after it.
 func AppendBudget(dst []byte, op uint8, budget time.Duration) []byte {
-	if budget > maxBudget {
-		budget = maxBudget
-	}
-	us := budget.Microseconds()
-	if us < 1 {
-		us = 1
-	}
-	dst = append(dst, op|OpFlagBudget)
-	return appendU32(dst, uint32(us))
+	return appendU32(append(dst, op|OpFlagBudget), budgetUs(budget))
+}
+
+// budgetUs is the on-wire budget field: whole microseconds, clamped to
+// [1, maxBudget] so a live budget never reads as the invalid 0.
+func budgetUs(budget time.Duration) uint32 {
+	us := min(budget, maxBudget).Microseconds()
+	return uint32(max(us, 1))
 }
 
 // SplitBudget strips the optional budget prefix from a request payload.
@@ -209,14 +198,7 @@ func RewriteFrameBudget(frame []byte, budget time.Duration) bool {
 	if len(frame) < 9 || frame[4]&OpFlagBudget == 0 {
 		return false
 	}
-	if budget > maxBudget {
-		budget = maxBudget
-	}
-	us := budget.Microseconds()
-	if us < 1 {
-		us = 1
-	}
-	binary.LittleEndian.PutUint32(frame[5:9], uint32(us))
+	binary.LittleEndian.PutUint32(frame[5:9], budgetUs(budget))
 	return true
 }
 

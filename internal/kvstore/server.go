@@ -155,12 +155,10 @@ type srvMetrics struct {
 	lat [opMax]*obs.Hist
 }
 
-const opMax = OpHello + 1
+const opMax = OpDrain + 1
 
 func opName(op byte) string {
 	switch op {
-	case OpHello:
-		return "hello"
 	case OpGet:
 		return "get"
 	case OpPut:
@@ -193,7 +191,7 @@ type serverConfig struct {
 // WithMaxInflight bounds how many data ops (GET/PUT/DEL/SCAN) may
 // execute concurrently; excess arrivals queue up to the WithMaxQueue
 // bound and are shed with StatusOverloaded past it. 0 (the default)
-// leaves admission unlimited. Control ops (STATS/DRAIN/HELLO) bypass
+// leaves admission unlimited. Control ops (STATS/DRAIN) bypass
 // admission — an operator must be able to inspect a saturated server.
 func WithMaxInflight(n int) ServerOption {
 	return func(c *serverConfig) { c.maxInflight = n }
@@ -400,34 +398,21 @@ func (s *Server) handle(c net.Conn, cs *connState, tid int) {
 		}
 		buf = payload
 		bp := framePool.Get().(*[]byte)
-		// The budget becomes a local deadline at parse time; transit and
-		// admission-queue time burn it, execution is gated on it.
-		req, budget, ok := SplitBudget(payload)
-		if !ok {
-			out, fs := beginFrame((*bp)[:0])
-			*bp = errFrame(out, fs, "malformed budget prefix")
-			resp <- bp
-			continue
-		}
-		var deadline time.Time
-		if budget > 0 {
-			deadline = time.Now().Add(budget)
-		}
 		if m == nil {
-			*bp = s.serveOne(tid, (*bp)[:0], req, deadline)
+			*bp = s.serveOne(tid, (*bp)[:0], payload)
 			resp <- bp
 			continue
 		}
-		op := req[0]
+		op := payload[0] &^ OpFlagBudget
 		if op < opMax {
 			m.ops[op].Inc(tid)
 		}
 		if nops&latSampleMask == 0 && op < opMax {
 			t0 := time.Now()
-			*bp = s.serveOne(tid, (*bp)[:0], req, deadline)
+			*bp = s.serveOne(tid, (*bp)[:0], payload)
 			m.lat[op].Observe(uint64(time.Since(t0)))
 		} else {
-			*bp = s.serveOne(tid, (*bp)[:0], req, deadline)
+			*bp = s.serveOne(tid, (*bp)[:0], payload)
 		}
 		resp <- bp
 		nops++
@@ -436,12 +421,23 @@ func (s *Server) handle(c net.Conn, cs *connState, tid int) {
 	wwg.Wait()
 }
 
-// serveOne applies the deadline check and admission control, then
-// executes. Only data ops (GET/PUT/DEL/SCAN) are gated; control ops
-// pass straight through. Every rejection happens *before* the store is
-// touched, so a StatusDeadlineExceeded or StatusOverloaded response is
-// a proof the op had no effect.
-func (s *Server) serveOne(tid int, dst, req []byte, deadline time.Time) []byte {
+// serveOne answers one request payload, encoding the response frame
+// into dst. A budget prefix becomes a local deadline at parse time;
+// transit and admission-queue time burn it, execution is gated on it.
+// Only data ops (GET/PUT/DEL/SCAN) are gated — deadline check, then
+// admission control; control ops pass straight through. Every rejection
+// happens *before* the store is touched, so a StatusDeadlineExceeded or
+// StatusOverloaded response is a proof the op had no effect.
+func (s *Server) serveOne(tid int, dst, payload []byte) []byte {
+	req, budget, ok := SplitBudget(payload)
+	if !ok {
+		out, fs := beginFrame(dst)
+		return errFrame(out, fs, "malformed budget prefix")
+	}
+	var deadline time.Time
+	if budget > 0 {
+		deadline = time.Now().Add(budget)
+	}
 	if op := req[0]; op >= OpGet && op <= OpScan {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			s.adm.expired.Add(1)
@@ -469,14 +465,6 @@ func (s *Server) execute(tid int, dst, req []byte) []byte {
 	out, fs := beginFrame(dst)
 	op := req[0]
 	switch op {
-	case OpHello:
-		// Version negotiation: answer with this build's wire version;
-		// the pair speaks the min. A pre-versioning server would have
-		// fallen through to the unknown-op Err frame below, which a v1
-		// client reads as "v0".
-		out = append(out, StatusOK)
-		out = appendU32(out, ProtoVersion)
-		return endFrame(out, fs)
 	case OpGet:
 		key, ok := getU64(req, 1)
 		if !ok {

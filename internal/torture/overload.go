@@ -1,7 +1,6 @@
 package torture
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -253,9 +252,6 @@ func overloadWriter(addr string, cfg Config, tid int, tal *overloadTally) (map[u
 		return nil, fnvOffset, []string{fmt.Sprintf("writer %d: dial: %v", tid, err)}
 	}
 	defer cl.Close()
-	if _, err := cl.Negotiate(context.Background()); err != nil {
-		return nil, fnvOffset, []string{fmt.Sprintf("writer %d: negotiate: %v", tid, err)}
-	}
 
 	rng := pcg{s: mix64(cfg.Seed, uint64(tid)+0x4F4C)}
 	h := fnvOffset
@@ -361,9 +357,6 @@ func overloadFlooder(addr string, cfg Config, tid int, tal *overloadTally) (uint
 		return fnvOffset, []string{fmt.Sprintf("flooder %d: dial: %v", tid, err)}
 	}
 	defer cl.Close()
-	if _, err := cl.Negotiate(context.Background()); err != nil {
-		return fnvOffset, []string{fmt.Sprintf("flooder %d: negotiate: %v", tid, err)}
-	}
 
 	rng := pcg{s: mix64(cfg.Seed, uint64(tid)+0x464C)}
 	h := fnvOffset

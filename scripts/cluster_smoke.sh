@@ -5,7 +5,8 @@
 # the same address; the proxy must mask the outage (kvload finishes
 # with 0 errs), resync the rejoiner, report every per-backend inflight
 # gauge back at 0 after the drain, and every backend — including the
-# restarted one — must pass its leak verdict on SIGINT.
+# restarted one — must pass its leak verdict on SIGINT. kvload's final
+# DRAIN through the proxy must succeed with a clean leak report.
 #
 # Invoked by `make cluster-smoke`, which builds bin/ first.
 set -eu
@@ -51,9 +52,17 @@ rm -f "$TMP/cs_s2.pid"
 	wait $!
 ) & CHAOS=$!
 
+# kvload exits non-zero if its final DRAIN fails or reports a leak. POSIX
+# sh has no pipefail, so write to a file and check the status directly
+# rather than through a pipe.
 "$BIN"/kvload -addr "$PROXY" -conns 4 -duration 8s -warmup 500ms \
 	-dist uniform -keys 20000 -mix get=50,put=44,del=5,scan=1 \
-	-drain | tee "$TMP/cs_load.txt"
+	-drain >"$TMP/cs_load.txt" || {
+	cat "$TMP/cs_load.txt"
+	echo "cluster-smoke: kvload exited non-zero (a failed DRAIN or leak check fails it)"
+	exit 1
+}
+cat "$TMP/cs_load.txt"
 grep -q ', 0 errs,' "$TMP/cs_load.txt" || {
 	echo "cluster-smoke: kvload reported errors (the proxy failed to mask the outage)"
 	exit 1
