@@ -92,17 +92,23 @@ smoke:
 	  kill -INT $$pid; wait $$pid || { echo "smoke: kvserver -reclaim $$s failed its drain"; exit 1; }; \
 	done
 
-# Observability smoke: serve with -metrics, put load through, scrape
-# /metrics (text and JSON) and assert the per-scheme reclamation gauges
-# (a point shard's and the store's one scan index, labelled "skip") and
-# op counters are present, then SIGINT and require a clean drain.
+# Observability smoke: serve with -metrics from a -race build, put load
+# through, scrape /metrics once while the load runs (a gauge that races
+# the hot path then fails the drain: the race detector's exit status),
+# scrape /metrics (text and JSON) after it and assert the per-scheme
+# reclamation gauges (a point shard's and the store's one scan index,
+# labelled "skip") and op counters are present, then SIGINT and require
+# a clean drain.
 metrics-smoke:
-	$(GO) build -o bin/kvserver ./cmd/kvserver
+	$(GO) build -race -o bin/kvserver ./cmd/kvserver
 	$(GO) build -o bin/kvload ./cmd/kvload
 	./bin/kvserver -addr 127.0.0.1:7199 -reclaim hp -metrics 127.0.0.1:7198 & \
 	pid=$$!; sleep 1; \
 	./bin/kvload -addr 127.0.0.1:7199 -conns 4 -duration 2s -warmup 200ms \
-	  -dist uniform -keys 10000 || { kill $$pid; exit 1; }; \
+	  -dist uniform -keys 10000 & \
+	lpid=$$!; sleep 1; \
+	curl -fsS http://127.0.0.1:7198/metrics > /dev/null || { kill $$lpid $$pid; exit 1; }; \
+	wait $$lpid || { kill $$pid; exit 1; }; \
 	curl -fsS http://127.0.0.1:7198/metrics > /tmp/metrics.txt || { kill $$pid; exit 1; }; \
 	curl -fsS 'http://127.0.0.1:7198/metrics?format=json' > /tmp/metrics.json || { kill $$pid; exit 1; }; \
 	for key in 'reclaim/shard0/map/retired' 'reclaim/shard0/map/freed' \

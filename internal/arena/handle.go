@@ -31,10 +31,7 @@
 // the OS: in Strict mode it panics, in Count mode it records a fault.
 package arena
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Handle is a tagged, generation-stamped reference to an arena slot.
 // The zero Handle is the nil reference.
@@ -105,40 +102,6 @@ func (h Handle) Tags() Handle { return h & tagMask }
 
 // SameRef reports whether two handles name the same object, ignoring tags.
 func (h Handle) SameRef(o Handle) bool { return h.Unmarked() == o.Unmarked() }
-
-// Compare orders two handles by raw word value (index within generation
-// within tags). Any total order works for the reclamation scan engine's
-// sorted snapshots; the raw order is the cheapest and keeps equal
-// handles adjacent, which is all binary search needs.
-func (h Handle) Compare(o Handle) int {
-	switch {
-	case h < o:
-		return -1
-	case h > o:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// SortHandles sorts hs in place by Compare. It allocates nothing: the
-// scan engine re-sorts one reusable snapshot buffer per scan.
-func SortHandles(hs []Handle) { slices.Sort(hs) }
-
-// SearchHandles reports whether a Compare-sorted slice contains h, by
-// binary search. Allocation-free.
-func SearchHandles(sorted []Handle, h Handle) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid] < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == h
-}
 
 // String renders a handle for debugging.
 func (h Handle) String() string {

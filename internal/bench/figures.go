@@ -286,9 +286,10 @@ func Table1Bounds(cfg Config, w io.Writer) error {
 
 type boundNode struct{ self uint64 }
 
-// BoundResult is one Table 1 measurement. MaxPending is the exact
-// high-water retired-not-freed count from the scheme's own counters
-// (used for the PTP t(H+1) enforcement); SampledMaxPending is the same
+// BoundResult is one Table 1 measurement. MaxPending is the high-water
+// retired-not-freed count from the scheme's own counters: exact for PTP
+// (used for the t(H+1) enforcement), the sum of per-thread peaks for
+// the other schemes (reclaim.Stats); SampledMaxPending is the same
 // backlog as seen through the obs.Sampler cadence — the figure
 // cmd/membound and the kvserver report, kept here so the bench harness
 // and the service share one source of truth for "how deep did the

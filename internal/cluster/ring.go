@@ -26,7 +26,7 @@
 // routing path is one atomic load, one splitmix64 hash, one shift, and
 // a copy out of the slot's precomputed preference list — no locks and
 // no allocations (the replica slice is the caller's reusable buffer,
-// the scanset buffer-pooling idiom). Topology changes build a fresh
+// the reclaim scan snapshots' reuse idiom). Topology changes build a fresh
 // Ring and swap the pointer; requests in flight finish against the
 // ring they started with.
 package cluster

@@ -27,12 +27,9 @@ func (r *Registry) Handler() http.Handler {
 
 // ScanDebug is the scan-engine surface a reclamation layer plugs into
 // this package (obs must not import reclaim). Info returns a
-// JSON-serializable snapshot of every instrumented scheme's scan state;
-// SetAdaptive/Adaptive expose the global adaptive-threshold switch.
+// JSON-serializable snapshot of every instrumented scheme's scan state.
 type ScanDebug struct {
-	Info        func() any
-	SetAdaptive func(bool)
-	Adaptive    func() bool
+	Info func() any
 }
 
 var scanDebug struct {
@@ -57,11 +54,10 @@ func getScanDebug() *ScanDebug {
 // TraceHandler serves the retire-path trace ring and the scan-engine
 // state:
 //
-//	GET  /debug/reclaim                 {"enabled":…,"recorded":…,"events":[…],
-//	                                     "scan":{"adaptive":…,"engines":{…}}}
-//	GET  /debug/reclaim?n=512           limit the dump
-//	POST /debug/reclaim?trace=on|off    toggle recording
-//	POST /debug/reclaim?adaptive=on|off toggle adaptive scan thresholds
+//	GET  /debug/reclaim              {"enabled":…,"recorded":…,"events":[…],
+//	                                  "scan":{"engines":{…}}}
+//	GET  /debug/reclaim?n=512        limit the dump
+//	POST /debug/reclaim?trace=on|off toggle recording
 func TraceHandler() http.Handler { return RingHandler(Trace) }
 
 // RingHandler serves an arbitrary ring (tests use private rings).
@@ -73,15 +69,6 @@ func RingHandler(r *Ring) http.Handler {
 				return
 			}
 			r.SetEnabled(t == "on" || t == "1" || t == "true")
-		}
-		if a := req.URL.Query().Get("adaptive"); a != "" {
-			if req.Method != http.MethodPost {
-				http.Error(w, "toggling requires POST", http.StatusMethodNotAllowed)
-				return
-			}
-			if d := getScanDebug(); d != nil && d.SetAdaptive != nil {
-				d.SetAdaptive(a == "on" || a == "1" || a == "true")
-			}
 		}
 		n := 256
 		if s := req.URL.Query().Get("n"); s != "" {
@@ -95,11 +82,7 @@ func RingHandler(r *Ring) http.Handler {
 			"events":   r.Dump(n),
 		}
 		if d := getScanDebug(); d != nil && d.Info != nil {
-			scan := map[string]any{"engines": d.Info()}
-			if d.Adaptive != nil {
-				scan["adaptive"] = d.Adaptive()
-			}
-			body["scan"] = scan
+			body["scan"] = map[string]any{"engines": d.Info()}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

@@ -7,12 +7,17 @@ import (
 	"repro/internal/rt"
 )
 
-const ebrIdle = ^uint64(0)
+// ebrCadence is EBR's reap period: the engine reaps after every 32nd
+// retire on a thread.
+const ebrCadence = 32
 
+// ebrItem is a retired object with the epoch it was retired in.
 type ebrItem struct {
 	h     arena.Handle
 	epoch uint64
 }
+
+func (it ebrItem) handle() arena.Handle { return it.h }
 
 // EBR is classic three-epoch epoch-based reclamation (Fraser / RCU
 // family). Protection is a per-operation epoch announcement — wait-free
@@ -20,76 +25,37 @@ type ebrItem struct {
 // operation stalls the epoch and unreclaimed memory is unbounded, which
 // is exactly the Table 1 row the paper contrasts the lock-free schemes
 // against.
+//
+// Each thread announces its epoch in a one-slot hpArrays (0 = quiescent;
+// the global epoch starts at 2), whose owner-written shadow elides a
+// re-announcement of the current epoch.
 type EBR struct {
-	counters
-	env Env
-	cfg Options
-
-	global       atomic.Uint64
-	reservations []rt.PaddedUint64
-	shadow       []padWord // owner-written mirror of reservations
-	elide        []rt.PaddedUint64
-	limbo        [][]ebrItem
-	ops          []int // per-thread retire counter for amortized advance
-}
-
-func init() {
-	Register(Registration{
-		Name:  "ebr",
-		Rank:  4,
-		Build: func(env Env, opts Options) Scheme { return newEBR(env, opts) },
-	})
+	engine[ebrItem] // the limbo lists
+	global          atomic.Uint64
+	reservations    *hpArrays
 }
 
 // newEBR builds an epoch-based-reclamation instance; construct via
 // New("ebr", …).
 func newEBR(env Env, cfg Options) *EBR {
 	cfg.defaults()
-	e := &EBR{
-		env:          env,
-		cfg:          cfg,
-		reservations: make([]rt.PaddedUint64, cfg.MaxThreads),
-		shadow:       make([]padWord, cfg.MaxThreads),
-		elide:        make([]rt.PaddedUint64, cfg.MaxThreads),
-		limbo:        make([][]ebrItem, cfg.MaxThreads),
-		ops:          make([]int, cfg.MaxThreads),
-	}
+	e := &EBR{}
+	e.engine = newEngine[ebrItem]("ebr", env, cfg, fixed(ebrCadence), e)
+	e.cadence = true
+	e.reservations = newHPArrays(e.tc, 1)
 	e.global.Store(2)
-	for i := range e.reservations {
-		e.reservations[i].Store(ebrIdle)
-		e.shadow[i].v = ebrIdle
-	}
 	return e
 }
-
-// Name returns "ebr".
-func (*EBR) Name() string { return "ebr" }
 
 // BeginOp announces the thread is active in the current epoch. The
 // announcement store is elided when the slot already publishes the
 // current epoch (repeated BeginOp without an intervening EndOp) — the
-// published reservation is identical either way. EndOp must always
-// store: an elided idle announcement would block epoch advancement.
-func (e *EBR) BeginOp(tid int) {
-	g := e.global.Load()
-	if e.shadow[tid].v == g {
-		c := &e.elide[tid]
-		c.Store(c.Load() + 1)
-		rt.Step(rt.SiteProtect, tid)
-		return
-	}
-	e.shadow[tid].v = g
-	e.reservations[tid].Store(g)
-}
+// published reservation is identical either way. EndOp elides only when
+// the slot already reads quiescent.
+func (e *EBR) BeginOp(tid int) { e.reservations.publish(tid, 0, e.global.Load()) }
 
 // EndOp marks the thread quiescent.
-func (e *EBR) EndOp(tid int) {
-	if e.shadow[tid].v == ebrIdle {
-		return
-	}
-	e.shadow[tid].v = ebrIdle
-	e.reservations[tid].Store(ebrIdle)
-}
+func (e *EBR) EndOp(tid int) { e.reservations.clear(tid, 0) }
 
 // GetProtected needs no per-pointer work: the epoch announcement covers
 // every object reachable during the operation. The torture injection
@@ -100,28 +66,13 @@ func (e *EBR) GetProtected(tid, _ int, addr *atomic.Uint64) arena.Handle {
 	return arena.Handle(addr.Load())
 }
 
-// Protect is a no-op under epochs.
-func (*EBR) Protect(int, int, arena.Handle) {}
-
-// Clear is a no-op under epochs.
-func (*EBR) Clear(int, int) {}
-
-// ClearAll is a no-op under epochs.
-func (*EBR) ClearAll(int) {}
-
-// OnAlloc is a no-op for EBR.
-func (*EBR) OnAlloc(arena.Handle) {}
-
-// Retire stamps the object with the current epoch and occasionally tries
-// to advance the epoch and reap the limbo list.
+// Retire stamps the object with the current epoch and puts it on the
+// thread's limbo list; every ebrCadence-th retire the engine reaps it,
+// trying to advance the epoch first (snapshot). Protect, Clear and
+// ClearAll stay no-ops under epochs.
 func (e *EBR) Retire(tid int, v arena.Handle) {
 	e.onRetire(tid, v)
-	e.limbo[tid] = append(e.limbo[tid], ebrItem{h: v.Unmarked(), epoch: e.global.Load()})
-	e.ops[tid]++
-	if e.ops[tid]%32 == 0 {
-		e.tryAdvance()
-		e.reap(tid)
-	}
+	e.add(tid, ebrItem{h: v.Unmarked(), epoch: e.global.Load()})
 }
 
 // tryAdvance bumps the global epoch if every active thread has observed
@@ -130,50 +81,27 @@ func (e *EBR) Retire(tid int, v arena.Handle) {
 func (e *EBR) tryAdvance() {
 	cur := e.global.Load()
 	for t := 0; t < e.cfg.MaxThreads; t++ {
-		r := e.reservations[t].Load()
-		if r != ebrIdle && r < cur {
+		if r := e.reservations.read(t, 0); r != 0 && r < cur {
 			return
 		}
 	}
 	e.global.CompareAndSwap(cur, cur+1)
 }
 
-// reap frees limbo entries two epochs behind the global epoch: every
-// thread active when they were retired has since passed through a
-// quiescent announcement.
-func (e *EBR) reap(tid int) {
-	g := e.global.Load()
-	keep := e.limbo[tid][:0]
-	for _, it := range e.limbo[tid] {
-		if it.epoch+2 <= g {
-			e.env.Free(tid, it.h)
-			e.onFree(tid, it.h)
-		} else {
-			keep = append(keep, it)
-		}
-	}
-	e.limbo[tid] = keep
+// snapshot tries to advance the epoch, then reads the epoch the reap
+// frees against.
+func (e *EBR) snapshot(sc *scanBufs) {
+	e.tryAdvance()
+	sc.epoch = e.global.Load()
 }
 
-// RetireDepth reports the length of tid's limbo list.
-func (e *EBR) RetireDepth(tid int) int { return len(e.limbo[tid]) }
+// protected keeps limbo entries fewer than two epochs behind the global
+// epoch: every thread active when they were retired has since passed
+// through a quiescent announcement only once they are two behind.
+func (e *EBR) protected(sc *scanBufs, it ebrItem) bool { return it.epoch+2 > sc.epoch }
 
-// Flush attempts an advance and a reap.
+// Flush attempts an extra advance, then reaps.
 func (e *EBR) Flush(tid int) {
 	e.tryAdvance()
-	e.tryAdvance()
-	e.reap(tid)
+	e.engine.Flush(tid)
 }
-
-// ScanStats reports EBR's elided epoch announcements (EBR has no scan
-// engine; only the Elisions field is meaningful).
-func (e *EBR) ScanStats() ScanStats {
-	var s ScanStats
-	for i := range e.elide {
-		s.Elisions += e.elide[i].Load()
-	}
-	return s
-}
-
-// Stats reports counters.
-func (e *EBR) Stats() Stats { return e.snapshot() }

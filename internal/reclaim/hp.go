@@ -1,16 +1,18 @@
 package reclaim
 
 import (
+	"slices"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/rt"
 )
 
-// hpArrays is the published hazardous-pointer matrix shared by the
-// pointer-based schemes: one single-writer row per thread, readable by
-// every retiring thread. Entries hold unmarked handles.
+// hpArrays is the published hazard matrix every scheme with a
+// published protection shares: one single-writer row per thread,
+// readable by every scanning thread. Entries hold unmarked handles
+// (HP, PTB, PTP), eras (HE; IBR's upper bound, one slot per thread) or
+// epochs (EBR, one slot per thread); 0 means none.
 //
 // Each row carries a plain (non-atomic) shadow mirror written only by
 // the owning thread. The shadow is what makes the protection fast path
@@ -24,16 +26,17 @@ import (
 // address is unaffected. See DESIGN.md §1.2.
 type hpArrays struct {
 	rows   [][]atomic.Uint64
-	shadow [][]uint64        // owner-written mirror of rows
-	elide  []rt.PaddedUint64 // per-thread elided publishes
+	shadow [][]uint64       // owner-written mirror of rows
+	tc     []threadCounters // the owning scheme's: elided publishes count there
 	hps    int
 }
 
-func newHPArrays(threads, hps int) *hpArrays {
+func newHPArrays(tc []threadCounters, hps int) *hpArrays {
+	threads := len(tc)
 	a := &hpArrays{
 		rows:   make([][]atomic.Uint64, threads),
 		shadow: make([][]uint64, threads),
-		elide:  make([]rt.PaddedUint64, threads),
+		tc:     tc,
 		hps:    hps,
 	}
 	for i := range a.rows {
@@ -45,46 +48,36 @@ func newHPArrays(threads, hps int) *hpArrays {
 	return a
 }
 
-func (a *hpArrays) publish(tid, idx int, h arena.Handle) {
-	u := uint64(h.Unmarked())
+func (a *hpArrays) publish(tid, idx int, u uint64) {
 	if a.shadow[tid][idx] == u {
 		// Elision fast path: the slot already publishes u. Torture
 		// injection point inside the branch — a stall parked here must
 		// still be protected by the untouched slot.
-		c := &a.elide[tid]
-		c.Store(c.Load() + 1)
+		inc(&a.tc[tid].elide)
 		rt.Step(rt.SiteProtect, tid)
 		return
 	}
+	a.store(tid, idx, u)
+}
+
+// store publishes u in the slot without the elision check.
+func (a *hpArrays) store(tid, idx int, u uint64) {
 	a.shadow[tid][idx] = u
 	a.rows[tid][idx].Store(u)
 }
 
-func (a *hpArrays) read(tid, idx int) arena.Handle {
-	return arena.Handle(a.rows[tid][idx].Load())
-}
+func (a *hpArrays) read(tid, idx int) uint64 { return a.rows[tid][idx].Load() }
 
 func (a *hpArrays) clear(tid, idx int) {
-	if a.shadow[tid][idx] == 0 {
-		return
+	if a.shadow[tid][idx] != 0 {
+		a.store(tid, idx, 0)
 	}
-	a.shadow[tid][idx] = 0
-	a.rows[tid][idx].Store(0)
 }
 
 func (a *hpArrays) clearAll(tid int) {
 	for i := 0; i < a.hps; i++ {
 		a.clear(tid, i)
 	}
-}
-
-// elisions sums the elided publishes across threads.
-func (a *hpArrays) elisions() uint64 {
-	var n uint64
-	for i := range a.elide {
-		n += a.elide[i].Load()
-	}
-	return n
 }
 
 // PublishWithSwap mirrors core.PublishWithSwap for the manual schemes:
@@ -109,8 +102,7 @@ func (a *hpArrays) getProtected(tid, idx int, addr *atomic.Uint64) arena.Handle 
 		u := uint64(v.Unmarked())
 		if u == published {
 			if !stored {
-				c := &a.elide[tid]
-				c.Store(c.Load() + 1)
+				inc(&a.tc[tid].elide)
 			}
 			// Torture injection point: the caller's hazardous pointer is
 			// published and validated, so a stall parked here pins the
@@ -130,55 +122,58 @@ func (a *hpArrays) getProtected(tid, idx int, addr *atomic.Uint64) arena.Handle 
 	}
 }
 
+// protectEra is the protection loop HE and IBR share: publish the
+// current era in slot idx until the clock is stable across the read of
+// addr. The published era is read from the owner's shadow (no atomic
+// load), and a call that finds the slot already holding the current era
+// — the common case between clock ticks — stores nothing.
+func (a *hpArrays) protectEra(tid, idx int, addr, clock *atomic.Uint64) arena.Handle {
+	sh := a.shadow[tid]
+	stored := false
+	for {
+		v := arena.Handle(addr.Load())
+		era := clock.Load()
+		if era == sh[idx] {
+			if !stored {
+				inc(&a.tc[tid].elide)
+			}
+			// Torture injection point: the era reservation is stable and
+			// published; a stall here holds it across the hook — on the
+			// elided path the reservation predates this call entirely.
+			rt.Step(rt.SiteProtect, tid)
+			return v
+		}
+		a.store(tid, idx, era)
+		stored = true
+	}
+}
+
 // HP is Michael's hazard-pointers scheme: per-thread retired lists,
 // amortized scans that free every retired object not currently
 // published. Bound on unreclaimed objects: O(H·t²).
 type HP struct {
-	counters
-	env Env
-	cfg Options
-	hp  *hpArrays
-	// per-thread retired lists; single-owner, no synchronization
-	retired [][]arena.Handle
-	eng     *scanEngine
+	engine[hpItem]
+	hp *hpArrays
 }
 
-func init() {
-	Register(Registration{
-		Name:  "hp",
-		Rank:  1,
-		Build: func(env Env, opts Options) Scheme { return newHP(env, opts) },
-	})
-}
+// hpItem is a retired handle on HP's list.
+type hpItem arena.Handle
+
+func (it hpItem) handle() arena.Handle { return arena.Handle(it) }
 
 // newHP builds a hazard-pointers instance; construct via New("hp", …).
-func newHP(env Env, cfg Options) *HP {
+// A zero lim selects the classic base threshold R = 2·H·t, floored at
+// 64, with adaptive clamps.
+func newHP(env Env, cfg Options, lim limits) *HP {
 	cfg.defaults()
-	// Classic base threshold R = 2·H·t; Options.ScanThreshold overrides.
-	base := 2 * cfg.MaxHPs * cfg.MaxThreads
-	if base < 64 {
-		base = 64
+	if lim.base == 0 {
+		lim = adaptive(max(2*cfg.MaxHPs*cfg.MaxThreads, 64))
 	}
-	if cfg.ScanThreshold > 0 {
-		base = cfg.ScanThreshold
-	}
-	return &HP{
-		env:     env,
-		cfg:     cfg,
-		hp:      newHPArrays(cfg.MaxThreads, cfg.MaxHPs),
-		retired: make([][]arena.Handle, cfg.MaxThreads),
-		eng:     newScanEngine(cfg.MaxThreads, cfg.MaxThreads*cfg.MaxHPs, base),
-	}
+	h := &HP{}
+	h.engine = newEngine[hpItem]("hp", env, cfg, lim, h)
+	h.hp = newHPArrays(h.tc, cfg.MaxHPs)
+	return h
 }
-
-// Name returns "hp".
-func (*HP) Name() string { return "hp" }
-
-// BeginOp is a no-op for HP.
-func (*HP) BeginOp(int) {}
-
-// EndOp is a no-op for HP.
-func (*HP) EndOp(int) {}
 
 // GetProtected implements the standard hazard-pointer protection loop.
 func (h *HP) GetProtected(tid, idx int, addr *atomic.Uint64) arena.Handle {
@@ -186,7 +181,7 @@ func (h *HP) GetProtected(tid, idx int, addr *atomic.Uint64) arena.Handle {
 }
 
 // Protect publishes an already-pinned handle.
-func (h *HP) Protect(tid, idx int, v arena.Handle) { h.hp.publish(tid, idx, v) }
+func (h *HP) Protect(tid, idx int, v arena.Handle) { h.hp.publish(tid, idx, uint64(v.Unmarked())) }
 
 // Clear clears one slot.
 func (h *HP) Clear(tid, idx int) { h.hp.clear(tid, idx) }
@@ -194,53 +189,15 @@ func (h *HP) Clear(tid, idx int) { h.hp.clear(tid, idx) }
 // ClearAll clears the thread's row.
 func (h *HP) ClearAll(tid int) { h.hp.clearAll(tid) }
 
-// OnAlloc is a no-op for HP.
-func (*HP) OnAlloc(arena.Handle) {}
-
-// Retire scans when the thread's retired list has reached the adaptive
-// threshold, then appends. Scanning before the append caps the list: a
-// scan that frees nothing cannot let the list grow past threshold by a
-// whole batch before the next scan fires (the adaptive policy raises
-// the threshold instead, up to its clamp).
+// Retire puts the object on the thread's retired list.
 func (h *HP) Retire(tid int, v arena.Handle) {
 	h.onRetire(tid, v)
-	if len(h.retired[tid]) >= h.eng.threshold(tid) {
-		h.scan(tid)
-	}
-	h.retired[tid] = append(h.retired[tid], v.Unmarked())
+	h.add(tid, hpItem(v.Unmarked()))
 }
 
-// Flush runs a scan unconditionally.
-func (h *HP) Flush(tid int) { h.scan(tid) }
+func (h *HP) snapshot(sc *scanBufs) { sc.published(h.hp) }
 
-// RetireDepth reports the length of tid's retired list.
-func (h *HP) RetireDepth(tid int) int { return len(h.retired[tid]) }
-
-func (h *HP) scan(tid int) {
-	start := time.Now()
-	published := h.eng.snapshotHP(tid, h.hp, h.cfg.MaxThreads, h.cfg.MaxHPs)
-	batch := len(h.retired[tid])
-	keep := h.retired[tid][:0]
-	for _, v := range h.retired[tid] {
-		if arena.SearchHandles(published, v) {
-			keep = append(keep, v)
-			continue
-		}
-		h.env.Free(tid, v)
-		h.onFree(tid, v)
-	}
-	h.retired[tid] = keep
-	h.eng.afterScan(tid, batch, batch-len(keep), time.Since(start))
-	h.onScan(time.Since(start))
+func (h *HP) protected(sc *scanBufs, it hpItem) bool {
+	_, found := slices.BinarySearch(sc.words, uint64(it))
+	return found
 }
-
-// ScanStats reports the scan engine's counters plus the protection
-// elisions of the shared hazardous-pointer matrix.
-func (h *HP) ScanStats() ScanStats {
-	s := h.eng.stats()
-	s.Elisions += h.hp.elisions()
-	return s
-}
-
-// Stats reports counters.
-func (h *HP) Stats() Stats { return h.snapshot() }

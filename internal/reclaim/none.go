@@ -9,35 +9,10 @@ import (
 // None is the leaking baseline: protection is free, retire leaks. This is
 // the "no reclamation" configuration the paper normalizes queue
 // throughput against in Figures 1 and 2.
-type None struct {
-	counters
-}
-
-func init() {
-	Register(Registration{
-		Name:    "none",
-		Aliases: []string{"leak"},
-		Rank:    0,
-		Build:   func(env Env, opts Options) Scheme { return newNone(env, opts) },
-	})
-	Register(Registration{
-		Name:   "unsafe",
-		Hidden: true, // constructible for the UAF demo, not benchmarked
-		Build:  func(env Env, opts Options) Scheme { return newUnsafe(env, opts) },
-	})
-}
+type None struct{ base }
 
 // newNone builds the leaking baseline scheme.
-func newNone(Env, Options) *None { return &None{} }
-
-// Name returns "none".
-func (*None) Name() string { return "none" }
-
-// BeginOp is a no-op.
-func (*None) BeginOp(int) {}
-
-// EndOp is a no-op.
-func (*None) EndOp(int) {}
+func newNone(env Env, cfg Options) *None { return &None{newBase("none", env, cfg)} }
 
 // GetProtected just loads the handle; nothing is ever freed, so no
 // protection is necessary.
@@ -45,66 +20,26 @@ func (*None) GetProtected(_, _ int, addr *atomic.Uint64) arena.Handle {
 	return arena.Handle(addr.Load())
 }
 
-// Protect is a no-op.
-func (*None) Protect(int, int, arena.Handle) {}
-
-// Clear is a no-op.
-func (*None) Clear(int, int) {}
-
-// ClearAll is a no-op.
-func (*None) ClearAll(int) {}
-
-// Retire leaks the object, counting it as permanently unreclaimed.
+// Retire leaks the object, counting it as permanently unreclaimed (the
+// leak is global and visible as Stats().RetiredNotFreed; RetireDepth
+// stays 0).
 func (n *None) Retire(tid int, h arena.Handle) { n.onRetire(tid, h) }
-
-// OnAlloc is a no-op.
-func (*None) OnAlloc(arena.Handle) {}
-
-// Flush is a no-op.
-func (*None) Flush(int) {}
-
-// RetireDepth is 0: None keeps no retire list (the leak is global and
-// visible as Stats().RetiredNotFreed).
-func (*None) RetireDepth(int) int { return 0 }
-
-// Stats reports the leak count in RetiredNotFreed.
-func (n *None) Stats() Stats { return n.snapshot() }
 
 // Unsafe frees on retire without any protection handshake. It is *wrong*
 // by construction and exists so tests and the uafdemo example can show
 // the arena's generation check catching the resulting use-after-free,
 // the fault the paper attributes to reclaiming memory the system
 // allocator may reuse.
-type Unsafe struct {
-	counters
-	env Env
-}
+type Unsafe struct{ base }
 
 // newUnsafe builds the deliberately broken scheme.
-func newUnsafe(env Env, _ Options) *Unsafe { return &Unsafe{env: env} }
+func newUnsafe(env Env, cfg Options) *Unsafe { return &Unsafe{newBase("unsafe", env, cfg)} }
 
-// Name returns "unsafe".
-func (*Unsafe) Name() string { return "unsafe" }
-
-// BeginOp is a no-op.
-func (*Unsafe) BeginOp(int) {}
-
-// EndOp is a no-op.
-func (*Unsafe) EndOp(int) {}
-
-// GetProtected loads without protecting — the bug.
+// GetProtected loads without protecting — the bug. Protect is a no-op,
+// the same bug.
 func (*Unsafe) GetProtected(_, _ int, addr *atomic.Uint64) arena.Handle {
 	return arena.Handle(addr.Load())
 }
-
-// Protect is a no-op — the bug.
-func (*Unsafe) Protect(int, int, arena.Handle) {}
-
-// Clear is a no-op.
-func (*Unsafe) Clear(int, int) {}
-
-// ClearAll is a no-op.
-func (*Unsafe) ClearAll(int) {}
 
 // Retire frees immediately, regardless of concurrent readers.
 func (u *Unsafe) Retire(tid int, h arena.Handle) {
@@ -112,15 +47,3 @@ func (u *Unsafe) Retire(tid int, h arena.Handle) {
 	u.env.Free(tid, h.Unmarked())
 	u.onFree(tid, h)
 }
-
-// OnAlloc is a no-op.
-func (*Unsafe) OnAlloc(arena.Handle) {}
-
-// Flush is a no-op.
-func (*Unsafe) Flush(int) {}
-
-// RetireDepth is 0: Unsafe frees eagerly and defers nothing.
-func (*Unsafe) RetireDepth(int) int { return 0 }
-
-// Stats reports counters.
-func (u *Unsafe) Stats() Stats { return u.snapshot() }

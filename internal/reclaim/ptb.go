@@ -20,46 +20,23 @@ import (
 // version:32) pair fits one word and a plain exchange carries the full
 // 64-bit handle (see DESIGN.md substitutions).
 type PTB struct {
-	counters
-	env     Env
-	cfg     Options
+	base
 	hp      *hpArrays
 	boxes   [][]atomic.Uint64
-	pending [][]arena.Handle
-}
-
-func init() {
-	Register(Registration{
-		Name:  "ptb",
-		Rank:  2,
-		Build: func(env Env, opts Options) Scheme { return newPTB(env, opts) },
-	})
+	pending [][]arena.Handle // owner-only; RetireDepth reads the depth word
 }
 
 // newPTB builds a pass-the-buck instance; construct via New("ptb", …).
 func newPTB(env Env, cfg Options) *PTB {
-	cfg.defaults()
-	p := &PTB{
-		env:     env,
-		cfg:     cfg,
-		hp:      newHPArrays(cfg.MaxThreads, cfg.MaxHPs),
-		boxes:   make([][]atomic.Uint64, cfg.MaxThreads),
-		pending: make([][]arena.Handle, cfg.MaxThreads),
-	}
+	p := &PTB{base: newBase("ptb", env, cfg)}
+	p.hp = newHPArrays(p.tc, p.cfg.MaxHPs)
+	p.boxes = make([][]atomic.Uint64, p.cfg.MaxThreads)
+	p.pending = make([][]arena.Handle, p.cfg.MaxThreads)
 	for i := range p.boxes {
-		p.boxes[i] = make([]atomic.Uint64, cfg.MaxHPs+8)
+		p.boxes[i] = make([]atomic.Uint64, p.cfg.MaxHPs+8)
 	}
 	return p
 }
-
-// Name returns "ptb".
-func (*PTB) Name() string { return "ptb" }
-
-// BeginOp is a no-op for PTB.
-func (*PTB) BeginOp(int) {}
-
-// EndOp is a no-op for PTB.
-func (*PTB) EndOp(int) {}
 
 // GetProtected posts a guard for the value read from addr.
 func (p *PTB) GetProtected(tid, idx int, addr *atomic.Uint64) arena.Handle {
@@ -67,7 +44,7 @@ func (p *PTB) GetProtected(tid, idx int, addr *atomic.Uint64) arena.Handle {
 }
 
 // Protect posts a guard for an already-pinned handle.
-func (p *PTB) Protect(tid, idx int, v arena.Handle) { p.hp.publish(tid, idx, v) }
+func (p *PTB) Protect(tid, idx int, v arena.Handle) { p.hp.publish(tid, idx, uint64(v.Unmarked())) }
 
 // Clear drops the guard and adopts anything parked in its handoff box.
 func (p *PTB) Clear(tid, idx int) {
@@ -75,6 +52,7 @@ func (p *PTB) Clear(tid, idx int) {
 	if p.boxes[tid][idx].Load() != 0 {
 		if v := arena.Handle(p.boxes[tid][idx].Swap(0)); !v.IsNil() {
 			p.pending[tid] = append(p.pending[tid], v)
+			p.setDepth(tid, len(p.pending[tid]))
 		}
 	}
 }
@@ -86,14 +64,12 @@ func (p *PTB) ClearAll(tid int) {
 	}
 }
 
-// OnAlloc is a no-op for PTB.
-func (*PTB) OnAlloc(arena.Handle) {}
-
 // Retire adds the value to the caller's set and runs Liberate.
 func (p *PTB) Retire(tid int, v arena.Handle) {
 	p.onRetire(tid, v)
 	p.pending[tid] = append(p.pending[tid], v.Unmarked())
 	p.liberate(tid)
+	p.setDepth(tid, len(p.pending[tid]))
 }
 
 func (p *PTB) liberate(tid int) {
@@ -125,16 +101,13 @@ func (p *PTB) liberate(tid int) {
 func (p *PTB) findGuard(v arena.Handle) (t, idx int, ok bool) {
 	for t := 0; t < p.cfg.MaxThreads; t++ {
 		for i := 0; i < p.cfg.MaxHPs; i++ {
-			if p.hp.read(t, i) == v {
+			if p.hp.read(t, i) == uint64(v) {
 				return t, i, true
 			}
 		}
 	}
 	return 0, 0, false
 }
-
-// RetireDepth reports the length of tid's pending list.
-func (p *PTB) RetireDepth(tid int) int { return len(p.pending[tid]) }
 
 // Flush reruns Liberate on the pending list.
 func (p *PTB) Flush(tid int) {
@@ -150,11 +123,5 @@ func (p *PTB) Flush(tid int) {
 	if len(p.pending[tid]) > 0 {
 		p.liberate(tid)
 	}
+	p.setDepth(tid, len(p.pending[tid]))
 }
-
-// ScanStats reports the guard matrix's protection elisions (PTB has no
-// scan engine; only the Elisions field is meaningful).
-func (p *PTB) ScanStats() ScanStats { return ScanStats{Elisions: p.hp.elisions()} }
-
-// Stats reports counters.
-func (p *PTB) Stats() Stats { return p.snapshot() }

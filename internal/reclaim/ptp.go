@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/arena"
+	"repro/internal/rt"
 )
 
 // PTP is the paper's pass-the-pointer scheme (§3.1, Algorithm 2): the
@@ -18,10 +19,12 @@ import (
 // handover matrix and each scanning thread carries at most one object,
 // so retired-but-undeleted objects number at most t×(H+1) — the linear
 // bound of the paper's Table 1.
+//
+// MaxRetiredNotFreed is exact here, not a sum of per-thread peaks: the
+// t(H+1) checks need the true domain-wide peak, so PTP alone keeps one
+// shared pending count and its high-water mark.
 type PTP struct {
-	counters
-	env       Env
-	cfg       Options
+	base
 	hp        *hpArrays
 	handovers [][]atomic.Uint64
 
@@ -31,40 +34,23 @@ type PTP struct {
 	// affecting neither correctness nor the bound. Default true; flip
 	// only before the scheme is shared (ablation benchmarks use this).
 	DrainOnClear bool
-}
 
-func init() {
-	Register(Registration{
-		Name:  "ptp",
-		Rank:  3,
-		Build: func(env Env, opts Options) Scheme { return newPTP(env, opts) },
-	})
+	// Every retire and free writes these; the padding keeps them off the
+	// line of the fields every Clear and GetProtected reads.
+	_                [rt.CacheLine]byte
+	pending, maxPend atomic.Int64
 }
 
 // newPTP builds a pass-the-pointer instance; construct via New("ptp", …).
 func newPTP(env Env, cfg Options) *PTP {
-	cfg.defaults()
-	p := &PTP{
-		env:          env,
-		cfg:          cfg,
-		hp:           newHPArrays(cfg.MaxThreads, cfg.MaxHPs),
-		handovers:    make([][]atomic.Uint64, cfg.MaxThreads),
-		DrainOnClear: true,
-	}
+	p := &PTP{base: newBase("ptp", env, cfg), DrainOnClear: true}
+	p.hp = newHPArrays(p.tc, p.cfg.MaxHPs)
+	p.handovers = make([][]atomic.Uint64, p.cfg.MaxThreads)
 	for i := range p.handovers {
-		p.handovers[i] = make([]atomic.Uint64, cfg.MaxHPs+8)
+		p.handovers[i] = make([]atomic.Uint64, p.cfg.MaxHPs+8)
 	}
 	return p
 }
-
-// Name returns "ptp".
-func (*PTP) Name() string { return "ptp" }
-
-// BeginOp is a no-op for PTP.
-func (*PTP) BeginOp(int) {}
-
-// EndOp is a no-op for PTP.
-func (*PTP) EndOp(int) {}
 
 // GetProtected implements Algorithm 2 lines 4–11 (identical to HP/PTB).
 func (p *PTP) GetProtected(tid, idx int, addr *atomic.Uint64) arena.Handle {
@@ -72,7 +58,7 @@ func (p *PTP) GetProtected(tid, idx int, addr *atomic.Uint64) arena.Handle {
 }
 
 // Protect publishes an already-pinned handle.
-func (p *PTP) Protect(tid, idx int, v arena.Handle) { p.hp.publish(tid, idx, v) }
+func (p *PTP) Protect(tid, idx int, v arena.Handle) { p.hp.publish(tid, idx, uint64(v.Unmarked())) }
 
 // Clear implements Algorithm 2 lines 13–20: clear the hazardous pointer,
 // then drain the paired handover slot, taking over the responsibility to
@@ -96,12 +82,16 @@ func (p *PTP) ClearAll(tid int) {
 	}
 }
 
-// OnAlloc is a no-op for PTP.
-func (*PTP) OnAlloc(arena.Handle) {}
-
 // Retire implements Algorithm 2 line 22.
 func (p *PTP) Retire(tid int, v arena.Handle) {
 	p.onRetire(tid, v)
+	n := p.pending.Add(1)
+	for {
+		m := p.maxPend.Load()
+		if n <= m || p.maxPend.CompareAndSwap(m, n) {
+			break
+		}
+	}
 	p.handoverOrDelete(tid, v.Unmarked(), 0)
 }
 
@@ -113,14 +103,14 @@ func (p *PTP) Retire(tid int, v arena.Handle) {
 func (p *PTP) handoverOrDelete(tid int, ptr arena.Handle, start int) {
 	for it := start; it < p.cfg.MaxThreads; it++ {
 		for idx := 0; idx < p.cfg.MaxHPs; {
-			if p.hp.read(it, idx) == ptr {
+			if p.hp.read(it, idx) == uint64(ptr) {
 				ptr = arena.Handle(p.handovers[it][idx].Swap(uint64(ptr)))
 				if ptr.IsNil() {
 					return
 				}
 				// The displaced pointer may itself be protected by
 				// this very slot; re-check before moving on.
-				if p.hp.read(it, idx) == ptr {
+				if p.hp.read(it, idx) == uint64(ptr) {
 					continue
 				}
 			}
@@ -128,6 +118,7 @@ func (p *PTP) handoverOrDelete(tid int, ptr arena.Handle, start int) {
 		}
 	}
 	p.env.Free(tid, ptr)
+	p.pending.Add(-1)
 	p.onFree(tid, ptr)
 }
 
@@ -153,9 +144,9 @@ func (p *PTP) Flush(tid int) {
 	}
 }
 
-// ScanStats reports the hazardous-pointer matrix's protection elisions
-// (PTP has no scan engine; only the Elisions field is meaningful).
-func (p *PTP) ScanStats() ScanStats { return ScanStats{Elisions: p.hp.elisions()} }
-
-// Stats reports counters.
-func (p *PTP) Stats() Stats { return p.snapshot() }
+// Stats reports the per-thread counters with the exact peak.
+func (p *PTP) Stats() Stats {
+	s := p.base.Stats()
+	s.MaxRetiredNotFreed = p.maxPend.Load()
+	return s
+}

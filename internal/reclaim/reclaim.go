@@ -12,19 +12,22 @@
 // ClearAll when an operation finishes.
 //
 // Schemes are constructed through the factory: New(name, env, opts)
-// resolves a name or alias against a self-registering registry (each
-// scheme file Registers itself in init), so adding a scheme never means
-// touching a switch statement in the callers. The "Pointer Life Cycle
-// Types" line of work argues protocol misuse is reclamation's chronic
-// failure mode; a single factory entry point with an error return (and
-// MustNew for static names) is this package's answer on the
-// construction side.
+// resolves a name or alias against one static table in this file, in
+// the paper's presentation order. The "Pointer Life Cycle Types" line
+// of work argues protocol misuse is reclamation's chronic failure mode;
+// a single factory entry point with an error return (and MustNew for
+// static names) is this package's answer on the construction side.
+//
+// Every scheme embeds base (name, per-thread counters, no-op defaults)
+// and overrides only what it does. HP, HE, IBR and EBR embed the retire
+// engine (engine.go) and supply only a snapshot of what protects and a
+// "still protected?" predicate; PTB and PTP keep their handover
+// algorithms.
 package reclaim
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -53,13 +56,6 @@ type Options struct {
 	MaxThreads int // capacity of the tid space
 	MaxHPs     int // H: hazardous pointers per thread the structure needs
 
-	// ScanThreshold overrides the scheme's classic base retire threshold
-	// (HP: 2·H·t, HE/IBR: H·t, each floored at 64). The adaptive policy
-	// still moves the per-thread threshold from this base within its
-	// clamps; deterministic tests use a small override to force scans.
-	// 0 means the classic default.
-	ScanThreshold int
-
 	// Label namespaces this instance's metrics (e.g. "shard0/map");
 	// empty defaults to the scheme name. Ignored when Metrics is nil.
 	Label string
@@ -83,6 +79,10 @@ func (c *Options) defaults() {
 
 // Stats reports a scheme's reclamation pressure. RetiredNotFreed and
 // MaxRetiredNotFreed are the quantities bounded by the paper's Table 1.
+// RetiredNotFreed is exact. MaxRetiredNotFreed is exact for PTP, whose
+// t(H+1) bound is checked against it; every other scheme reports the
+// sum of per-thread peaks of retired − freed, an upper bound on the
+// true peak that is exact with one thread.
 type Stats struct {
 	Retired            uint64
 	Freed              uint64
@@ -121,77 +121,52 @@ type Scheme interface {
 	// scheme currently holds on behalf of tid (thread-local retired/limbo
 	// list length, or parked handover slots for the list-free schemes).
 	// Zero for schemes that keep no per-thread state; the global pending
-	// count is Stats().RetiredNotFreed.
+	// count is Stats().RetiredNotFreed. Any goroutine may call it.
 	RetireDepth(tid int) int
 	Stats() Stats
 }
 
 // ---------------------------------------------------------------------
-// Scheme registry
+// Scheme table
 
-// Builder constructs one scheme instance. opts arrives with defaults
-// applied.
-type Builder func(env Env, opts Options) Scheme
-
-// Registration describes a scheme to the factory.
-type Registration struct {
-	Name    string   // canonical name
-	Aliases []string // accepted synonyms ("leak" → "none")
-	Rank    int      // position in Names() — the paper's presentation order
-	Hidden  bool     // constructible but absent from Names() ("unsafe")
-	Build   Builder
+// schemes is the factory's table, in the paper's presentation order
+// (Names). Each build receives opts with defaults applied.
+var schemes = []struct {
+	name    string
+	aliases []string // accepted synonyms ("leak" → "none")
+	hidden  bool     // constructible but absent from Names() ("unsafe")
+	build   func(Env, Options) Scheme
+}{
+	{name: "none", aliases: []string{"leak"}, build: func(e Env, o Options) Scheme { return newNone(e, o) }},
+	{name: "hp", build: func(e Env, o Options) Scheme { return newHP(e, o, limits{}) }},
+	{name: "ptb", build: func(e Env, o Options) Scheme { return newPTB(e, o) }},
+	{name: "ptp", build: func(e Env, o Options) Scheme { return newPTP(e, o) }},
+	{name: "ebr", build: func(e Env, o Options) Scheme { return newEBR(e, o) }},
+	{name: "he", build: func(e Env, o Options) Scheme { return newHE(e, o, limits{}) }},
+	{name: "ibr", aliases: []string{"2geibr"}, build: func(e Env, o Options) Scheme { return newIBR(e, o, limits{}) }},
+	// unsafe is constructible for the UAF demo, not benchmarked.
+	{name: "unsafe", hidden: true, build: func(e Env, o Options) Scheme { return newUnsafe(e, o) }},
 }
 
-var (
-	regMu   sync.RWMutex
-	schemes = map[string]Registration{}
-	aliases = map[string]string{}
-)
-
-// Register adds a scheme to the factory. Each scheme file calls it from
-// init, so the registry is complete before any New. Registering a
-// duplicate name or alias panics — it is a programming error, caught at
-// process start.
-func Register(r Registration) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if r.Name == "" || r.Build == nil {
-		panic("reclaim: Register needs a name and a builder")
-	}
-	if _, dup := schemes[r.Name]; dup {
-		panic(fmt.Sprintf("reclaim: scheme %q registered twice", r.Name))
-	}
-	if _, dup := aliases[r.Name]; dup {
-		panic(fmt.Sprintf("reclaim: scheme %q collides with an alias", r.Name))
-	}
-	schemes[r.Name] = r
-	for _, a := range r.Aliases {
-		if _, dup := aliases[a]; dup {
-			panic(fmt.Sprintf("reclaim: alias %q registered twice", a))
-		}
-		if _, dup := schemes[a]; dup {
-			panic(fmt.Sprintf("reclaim: alias %q collides with a scheme", a))
-		}
-		aliases[a] = r.Name
-	}
-}
-
-// Names lists every registered, non-hidden scheme in presentation order.
+// Names lists every non-hidden scheme in presentation order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	regs := make([]Registration, 0, len(schemes))
+	var out []string
 	for _, r := range schemes {
-		if !r.Hidden {
-			regs = append(regs, r)
+		if !r.hidden {
+			out = append(out, r.name)
 		}
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].Rank < regs[j].Rank })
-	out := make([]string, len(regs))
-	for i, r := range regs {
-		out[i] = r.Name
 	}
 	return out
+}
+
+// find returns the table index of a scheme name or alias, or -1.
+func find(name string) int {
+	for i, r := range schemes {
+		if r.name == name || slices.Contains(r.aliases, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Canonical resolves a scheme name or alias ("leak"→"none",
@@ -199,39 +174,24 @@ func Names() []string {
 // known. It is the single scheme-by-name resolver shared by the bench
 // registry, cmd flag parsing, and the kv service.
 func Canonical(name string) (string, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if _, ok := schemes[name]; ok {
-		return name, true
-	}
-	if c, ok := aliases[name]; ok {
-		return c, true
+	if i := find(name); i >= 0 {
+		return schemes[i].name, true
 	}
 	return "", false
-}
-
-func lookup(name string) (Registration, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if c, ok := aliases[name]; ok {
-		name = c
-	}
-	r, ok := schemes[name]
-	return r, ok
 }
 
 // New constructs a scheme by name (aliases accepted, see Canonical). An
 // unknown name is an error, not a panic: scheme names arrive from flags
 // and network config, and the factory is where they are validated.
 func New(name string, env Env, opts Options) (Scheme, error) {
-	reg, ok := lookup(name)
-	if !ok {
+	i := find(name)
+	if i < 0 {
 		return nil, fmt.Errorf("reclaim: unknown scheme %q (have %v)", name, Names())
 	}
 	opts.defaults()
-	s := reg.Build(env, opts)
+	s := schemes[i].build(env, opts)
 	if opts.Metrics != nil {
-		instrument(s, reg.Name, opts)
+		instrument(s, schemes[i].name, opts)
 	}
 	return s, nil
 }
@@ -290,7 +250,7 @@ func (t *spanTable) end(h uint64) (int64, bool) {
 }
 
 // instr is the optional per-instance observability state hanging off
-// counters. All hot-path uses are guarded by a single nil check.
+// base. All hot-path uses are guarded by a single nil check.
 type instr struct {
 	label   uint16    // trace-ring label id
 	lat     *obs.Hist // sampled retire→free latency (ns)
@@ -298,30 +258,82 @@ type instr struct {
 	spans   spanTable
 }
 
-// counters implements the shared Stats bookkeeping.
-type counters struct {
-	retired atomic.Uint64
-	freed   atomic.Uint64
-	pending atomic.Int64
-	maxPend atomic.Int64
-	inst    *instr // nil unless Options.Metrics was set
+// threadCounters is one thread's share of a scheme's Stats, written
+// only by that thread (inc: a plain load and store, no read-modify-write
+// on a shared line) and summed by readers.
+type threadCounters struct {
+	retired, freed atomic.Uint64
+	peak           atomic.Int64  // high-water of retired − freed on this thread
+	elide          atomic.Uint64 // elided protection publishes
+	depth          atomic.Int64  // RetireDepth, stored after each change
+	_              [rt.CacheLine - 40]byte
 }
 
-// hooks exposes the embedded counters to the factory's instrumentation;
-// it is promoted through embedding on every scheme.
-func (c *counters) hooks() *counters { return c }
+// inc bumps a counter only its owning thread writes.
+func inc(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
-func (c *counters) onRetire(tid int, h arena.Handle) {
+// base is embedded by every scheme: its name, its arena binding and
+// options, the per-thread counters behind Stats and ScanStats, the
+// optional instrumentation, and a no-op for every Scheme method a
+// scheme has no use for.
+type base struct {
+	name string
+	env  Env
+	cfg  Options
+	tc   []threadCounters
+	inst *instr // nil unless Options.Metrics was set
+}
+
+func newBase(name string, env Env, cfg Options) base {
+	cfg.defaults()
+	return base{name: name, env: env, cfg: cfg, tc: make([]threadCounters, cfg.MaxThreads)}
+}
+
+// hooks exposes the embedded base to the factory's instrumentation.
+func (b *base) hooks() *base { return b }
+
+// Name returns the scheme's canonical name.
+func (b *base) Name() string { return b.name }
+
+// BeginOp is a no-op unless the scheme overrides it.
+func (*base) BeginOp(int) {}
+
+// EndOp is a no-op unless the scheme overrides it.
+func (*base) EndOp(int) {}
+
+// Protect is a no-op unless the scheme overrides it.
+func (*base) Protect(int, int, arena.Handle) {}
+
+// Clear is a no-op unless the scheme overrides it.
+func (*base) Clear(int, int) {}
+
+// ClearAll is a no-op unless the scheme overrides it.
+func (*base) ClearAll(int) {}
+
+// OnAlloc is a no-op unless the scheme overrides it.
+func (*base) OnAlloc(arena.Handle) {}
+
+// Flush is a no-op unless the scheme overrides it.
+func (*base) Flush(int) {}
+
+// RetireDepth reports the deferred objects the scheme holds for tid, as
+// last stored by tid itself, so any goroutine may read it. Zero for
+// schemes that defer nothing.
+func (b *base) RetireDepth(tid int) int { return int(b.tc[tid].depth.Load()) }
+
+func (b *base) setDepth(tid, n int) { b.tc[tid].depth.Store(int64(n)) }
+
+func (b *base) noteElide(tid int) { inc(&b.tc[tid].elide) }
+
+func (b *base) onRetire(tid int, h arena.Handle) {
 	rt.Step(rt.SiteRetire, tid)
-	n := c.retired.Add(1)
-	p := c.pending.Add(1)
-	for {
-		m := c.maxPend.Load()
-		if p <= m || c.maxPend.CompareAndSwap(m, p) {
-			break
-		}
+	c := &b.tc[tid]
+	n := c.retired.Load() + 1
+	c.retired.Store(n)
+	if d := int64(n - c.freed.Load()); d > c.peak.Load() {
+		c.peak.Store(d)
 	}
-	if in := c.inst; in != nil {
+	if in := b.inst; in != nil {
 		if obs.TraceOn() {
 			obs.Trace.Record(obs.KindRetire, in.label, tid, uint64(h.Unmarked()))
 		}
@@ -331,11 +343,10 @@ func (c *counters) onRetire(tid int, h arena.Handle) {
 	}
 }
 
-func (c *counters) onFree(tid int, h arena.Handle) {
+func (b *base) onFree(tid int, h arena.Handle) {
 	rt.Step(rt.SiteReclaim, tid)
-	c.freed.Add(1)
-	c.pending.Add(-1)
-	if in := c.inst; in != nil {
+	inc(&b.tc[tid].freed)
+	if in := b.inst; in != nil {
 		if obs.TraceOn() {
 			obs.Trace.Record(obs.KindFree, in.label, tid, uint64(h.Unmarked()))
 		}
@@ -347,21 +358,30 @@ func (c *counters) onFree(tid int, h arena.Handle) {
 	}
 }
 
-// onScan records one scan's duration into the instance histogram; free
-// outside the instrumented path (one nil check per scan, not per op).
-func (c *counters) onScan(d time.Duration) {
-	if in := c.inst; in != nil && in.scanLat != nil {
-		in.scanLat.Observe(uint64(d.Nanoseconds()))
+// Stats sums the per-thread counters. Every freed count is read before
+// any retired count, and an object's retire is counted before its free,
+// so RetiredNotFreed never reads negative.
+func (b *base) Stats() Stats {
+	var s Stats
+	for i := range b.tc {
+		s.Freed += b.tc[i].freed.Load()
 	}
+	for i := range b.tc {
+		s.Retired += b.tc[i].retired.Load()
+		s.MaxRetiredNotFreed += b.tc[i].peak.Load()
+	}
+	s.RetiredNotFreed = int64(s.Retired) - int64(s.Freed)
+	return s
 }
 
-func (c *counters) snapshot() Stats {
-	return Stats{
-		Retired:            c.retired.Load(),
-		Freed:              c.freed.Load(),
-		RetiredNotFreed:    c.pending.Load(),
-		MaxRetiredNotFreed: c.maxPend.Load(),
+// ScanStats reports the elided protection publishes; the retire engine
+// adds its scan counters.
+func (b *base) ScanStats() ScanStats {
+	var s ScanStats
+	for i := range b.tc {
+		s.Elisions += b.tc[i].elide.Load()
 	}
+	return s
 }
 
 // instrument wires one constructed scheme into opts.Metrics under
@@ -370,24 +390,20 @@ func (c *counters) snapshot() Stats {
 // path pays only for the latency sampling and (when enabled) the trace
 // ring.
 func instrument(s Scheme, canonical string, opts Options) {
-	h, ok := s.(interface{ hooks() *counters })
-	if !ok {
-		return
-	}
 	label := opts.Label
 	if label == "" {
 		label = canonical
 	}
 	prefix := "reclaim/" + label
-	c := h.hooks()
-	c.inst = &instr{
+	b := s.(interface{ hooks() *base }).hooks()
+	b.inst = &instr{
 		label: obs.TraceLabel(label),
 		lat:   opts.Metrics.Hist(prefix + "/free_lat_ns"),
 	}
-	opts.Metrics.GaugeFunc(prefix+"/retired", func() int64 { return int64(c.retired.Load()) })
-	opts.Metrics.GaugeFunc(prefix+"/freed", func() int64 { return int64(c.freed.Load()) })
-	opts.Metrics.GaugeFunc(prefix+"/pending", func() int64 { return c.pending.Load() })
-	opts.Metrics.GaugeFunc(prefix+"/pending_max", func() int64 { return c.maxPend.Load() })
+	opts.Metrics.GaugeFunc(prefix+"/retired", func() int64 { return int64(s.Stats().Retired) })
+	opts.Metrics.GaugeFunc(prefix+"/freed", func() int64 { return int64(s.Stats().Freed) })
+	opts.Metrics.GaugeFunc(prefix+"/pending", func() int64 { return s.Stats().RetiredNotFreed })
+	opts.Metrics.GaugeFunc(prefix+"/pending_max", func() int64 { return s.Stats().MaxRetiredNotFreed })
 	maxThreads := opts.MaxThreads
 	opts.Metrics.GaugeFunc(prefix+"/retire_depth", func() int64 {
 		var d int64
@@ -396,12 +412,11 @@ func instrument(s Scheme, canonical string, opts Options) {
 		}
 		return d
 	})
-	if ss, ok := s.(ScanStatser); ok {
-		c.inst.scanLat = opts.Metrics.Hist(prefix + "/scan_ns")
-		opts.Metrics.GaugeFunc(prefix+"/elisions", func() int64 { return int64(ss.ScanStats().Elisions) })
-		opts.Metrics.GaugeFunc(prefix+"/scans", func() int64 { return int64(ss.ScanStats().Scans) })
-		opts.Metrics.GaugeFunc(prefix+"/scan_freed_ratio_bp", func() int64 { return ss.ScanStats().FreedRatioBP })
-		opts.Metrics.GaugeFunc(prefix+"/scan_threshold", func() int64 { return int64(ss.ScanStats().Threshold) })
-		registerScanDebug(label, ss.ScanStats)
-	}
+	ss := s.(ScanStatser)
+	b.inst.scanLat = opts.Metrics.Hist(prefix + "/scan_ns")
+	opts.Metrics.GaugeFunc(prefix+"/elisions", func() int64 { return int64(ss.ScanStats().Elisions) })
+	opts.Metrics.GaugeFunc(prefix+"/scans", func() int64 { return int64(ss.ScanStats().Scans) })
+	opts.Metrics.GaugeFunc(prefix+"/scan_freed_ratio_bp", func() int64 { return ss.ScanStats().FreedRatioBP })
+	opts.Metrics.GaugeFunc(prefix+"/scan_threshold", func() int64 { return int64(ss.ScanStats().Threshold) })
+	registerScanDebug(label, ss.ScanStats)
 }

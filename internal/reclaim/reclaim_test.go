@@ -392,7 +392,7 @@ func TestEBRStalledReaderBlocksReclamation(t *testing.T) {
 // TestHEEraStamping: birth/retire eras land in the header words.
 func TestHEEraStamping(t *testing.T) {
 	a, env := testEnv(t, arena.Strict)
-	s := newHE(env, Options{MaxThreads: 2, MaxHPs: 2})
+	s := newHE(env, Options{MaxThreads: 2, MaxHPs: 2}, limits{})
 	h := allocNode(a, s)
 	birth, retire := a.Header(h)
 	if birth.Load() == 0 {
@@ -415,7 +415,7 @@ func TestHEEraStamping(t *testing.T) {
 // includes a published era must not be freed.
 func TestHEProtectionHoldsInterval(t *testing.T) {
 	a, env := testEnv(t, arena.Strict)
-	s := newHE(env, Options{MaxThreads: 2, MaxHPs: 2})
+	s := newHE(env, Options{MaxThreads: 2, MaxHPs: 2}, limits{})
 	var slot atomic.Uint64
 	h := allocNode(a, s)
 	slot.Store(uint64(h))
@@ -441,7 +441,7 @@ func TestHEProtectionHoldsInterval(t *testing.T) {
 // reservations.
 func TestIBRIntervalProtection(t *testing.T) {
 	a, env := testEnv(t, arena.Strict)
-	s := newIBR(env, Options{MaxThreads: 2, MaxHPs: 2})
+	s := newIBR(env, Options{MaxThreads: 2, MaxHPs: 2}, limits{})
 	var slot atomic.Uint64
 	h := allocNode(a, s)
 	slot.Store(uint64(h))
@@ -629,10 +629,49 @@ func TestMetricsInstrumentation(t *testing.T) {
 // instrumentation pointer nil — the no-op fast path.
 func TestUninstrumentedNoMetrics(t *testing.T) {
 	a, env := testEnv(t, arena.Strict)
-	s := newHP(env, Options{MaxThreads: 2, MaxHPs: 2})
+	s := newHP(env, Options{MaxThreads: 2, MaxHPs: 2}, limits{})
 	if s.inst != nil {
 		t.Fatal("uninstrumented scheme has instrumentation state")
 	}
 	s.Retire(0, allocNode(a, s))
 	s.Flush(0)
+}
+
+// TestRetireDepthConcurrentRead: RetireDepth is read from other
+// goroutines (the retire_depth gauge, kvstore STATS) while the owner
+// retires, so it must not race with the owner's list. Run under -race.
+func TestRetireDepthConcurrentRead(t *testing.T) {
+	const n = 5000
+	for _, name := range allSchemes() {
+		t.Run(name, func(t *testing.T) {
+			a, env := testEnv(t, arena.Strict)
+			s := MustNew(name, env, Options{MaxThreads: 2, MaxHPs: 2})
+			var slot atomic.Uint64
+			slot.Store(uint64(allocNode(a, s)))
+			s.GetProtected(1, 0, &slot) // tid 1 protects the first retire: the pointer schemes defer it
+
+			stop := make(chan struct{})
+			maxSeen := make(chan int)
+			go func() {
+				m := 0
+				for {
+					select {
+					case <-stop:
+						maxSeen <- m
+						return
+					default:
+						m = max(m, s.RetireDepth(0))
+					}
+				}
+			}()
+			s.Retire(0, arena.Handle(slot.Swap(0)))
+			for i := 0; i < n; i++ {
+				s.Retire(0, allocNode(a, s))
+			}
+			close(stop)
+			if m := <-maxSeen; m > n+1 {
+				t.Fatalf("RetireDepth read %d, more than the %d objects retired", m, n+1)
+			}
+		})
+	}
 }

@@ -18,71 +18,41 @@ func benchHandle(i int) arena.Handle {
 	return arena.Handle(uint64(1)<<32 | uint64(i+1))
 }
 
-// scanFixture is the shared scan workload: a published hazardous-pointer
-// matrix (threads×hps, fully populated) and a per-tid retired-list
-// template in which one entry in four is published (kept by the scan)
-// and the rest are strangers (freed). Free is a no-op counter so the
-// same template replays every iteration.
-type scanFixture struct {
-	hp       *hpArrays
-	threads  int
-	hps      int
-	template []arena.Handle
-	freed    atomic.Uint64
-}
-
-func newScanFixture(threads, hps, batch int) *scanFixture {
-	f := &scanFixture{hp: newHPArrays(threads, hps), threads: threads, hps: hps}
-	published := make([]arena.Handle, 0, threads*hps)
-	for t := 0; t < threads; t++ {
-		for i := 0; i < hps; i++ {
-			h := benchHandle(t*hps + i)
-			f.hp.publish(t, i, h)
-			published = append(published, h)
-		}
-	}
-	for i := 0; i < batch; i++ {
-		if i%4 == 0 {
-			f.template = append(f.template, published[i%len(published)])
-		} else {
-			f.template = append(f.template, benchHandle(1<<20+i))
-		}
-	}
-	return f
-}
-
-func (f *scanFixture) free(arena.Handle) { f.freed.Add(1) }
-
-// engineScan is the scan loop of HP.scan, using the engine's reusable
-// snapshot and binary-search probes.
-func (f *scanFixture) engineScan(e *scanEngine, tid int, list []arena.Handle) []arena.Handle {
-	published := e.snapshotHP(tid, f.hp, f.threads, f.hps)
-	keep := list[:0]
-	for _, v := range list {
-		if arena.SearchHandles(published, v) {
-			keep = append(keep, v)
-			continue
-		}
-		f.free(v)
-	}
-	return keep
-}
-
 // ---------------------------------------------------------------------------
 // go test -bench entry points.
 
 const benchBatch = 256
 
+// BenchmarkScan runs HP's engine scan over a fixed workload: a fully
+// populated published hazard-pointer matrix (threads×hps) and a retired
+// list in which one entry in four is published (kept by the scan) and
+// the rest are strangers (freed). Free is a no-op so the same list
+// replays every iteration.
 func BenchmarkScan(b *testing.B) {
 	const threads, hps = 8, 8
-	f := newScanFixture(threads, hps, benchBatch)
-	e := newScanEngine(threads, threads*hps, benchBatch)
-	list := make([]arena.Handle, benchBatch)
+	s := newHP(Env{Free: func(int, arena.Handle) {}}, Options{MaxThreads: threads, MaxHPs: hps}, fixed(benchBatch))
+	published := make([]arena.Handle, 0, threads*hps)
+	for t := 0; t < threads; t++ {
+		for i := 0; i < hps; i++ {
+			h := benchHandle(t*hps + i)
+			s.Protect(t, i, h)
+			published = append(published, h)
+		}
+	}
+	template := make([]hpItem, benchBatch)
+	for i := range template {
+		if i%4 == 0 {
+			template[i] = hpItem(published[i%len(published)])
+		} else {
+			template[i] = hpItem(benchHandle(1<<20 + i))
+		}
+	}
+	l := &s.tl[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(list, f.template)
-		f.engineScan(e, 0, list)
+		l.items = append(l.items[:0], template...)
+		s.scan(0)
 	}
 }
 
@@ -91,7 +61,7 @@ func BenchmarkScan(b *testing.B) {
 // case) against the store path (the value changes every call).
 func BenchmarkProtectHop(b *testing.B) {
 	a, env := testEnv(b, arena.Strict)
-	s := newHP(env, Options{MaxThreads: 2, MaxHPs: 4})
+	s := newHP(env, Options{MaxThreads: 2, MaxHPs: 4}, limits{})
 	h1 := allocNode(a, s)
 	h2 := allocNode(a, s)
 	var slot atomic.Uint64
