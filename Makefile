@@ -183,11 +183,14 @@ overload-smoke:
 # subject's truncated and aborted frames plus budget-flagged variants).
 # FuzzSplitBudget round-trips the budget codec; FuzzServeRequest feeds
 # arbitrary payloads through the server's per-request path and requires
-# one well-formed response frame each. go test -fuzz takes one target
-# per run.
+# one well-formed response frame each; FuzzServerConn feeds an arbitrary
+# byte stream through one connection's read/execute/flush loop and
+# requires it to exit on EOF with one well-formed response per whole
+# frame. go test -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test ./internal/kvstore/ -run '^$$' -fuzz '^FuzzSplitBudget$$' -fuzztime 10s
 	$(GO) test ./internal/kvstore/ -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s
+	$(GO) test ./internal/kvstore/ -run '^$$' -fuzz '^FuzzServerConn$$' -fuzztime 10s
 
 # Capture a 10s CPU profile of kvproxy under load (bin/kvproxy +
 # /debug/pprof via -pprof); see scripts/profile_cluster.sh.

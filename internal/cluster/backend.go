@@ -145,8 +145,10 @@ func (ca *call) fail(err error) {
 	putCall(ca)
 }
 
-// bufPool recycles response frames — the frame pool idiom from
-// kvstore's server applied to the proxy's two hops.
+// bufPool recycles the proxy's response frames: a backend response is
+// captured whole into one, forwarded to the client and returned once
+// written. Buffers pass as *[]byte so Put never allocates a slice
+// header.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
@@ -184,12 +186,6 @@ func (w *wireBuf) unref() {
 	if w.refs.Add(-1) == 0 && cap(w.b) <= 64<<10 {
 		wirePool.Put(w)
 	}
-}
-
-// sealWire back-fills the 4-byte length prefix a frame was seeded with.
-func sealWire(w *wireBuf) {
-	n := uint32(len(w.b) - 4)
-	w.b[0], w.b[1], w.b[2], w.b[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 }
 
 // conn is a backend's lane: the one pipelined connection every request

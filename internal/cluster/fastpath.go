@@ -86,10 +86,9 @@ func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call) {
 	if deadline.IsZero() {
 		fr.b = kvstore.AppendFrame(fr.b, req)
 	} else {
-		fr.b = append(fr.b, 0, 0, 0, 0)
-		fr.b = kvstore.AppendBudget(fr.b, req[0], time.Until(deadline))
-		fr.b = append(fr.b, req[1:]...)
-		sealWire(fr)
+		b, fs := kvstore.BeginFrame(fr.b)
+		b = kvstore.AppendBudget(b, req[0], time.Until(deadline))
+		fr.b = kvstore.EndFrame(append(b, req[1:]...), fs)
 	}
 	op.frame = fr
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -295,10 +296,8 @@ func (p *Proxy) writeLoop(c net.Conn, order <-chan *call, wwg *sync.WaitGroup) {
 	appendCa := func(ca *call) { // ca.done already consumed
 		if ca.err != nil {
 			eb := getBuf()
-			*eb = append((*eb)[:0], 0, 0, 0, 0, kvstore.StatusErr)
-			*eb = append(*eb, ca.err.Error()...)
-			n := uint32(len(*eb) - 4)
-			(*eb)[0], (*eb)[1], (*eb)[2], (*eb)[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+			out, fs := kvstore.BeginFrame((*eb)[:0])
+			*eb = kvstore.ErrFrame(out, fs, ca.err.Error())
 			ca.respBuf = eb
 		}
 		bufs = append(bufs, *ca.respBuf)
@@ -420,7 +419,7 @@ func (p *Proxy) dispatch(payload []byte) *call {
 // not-executed statuses (StatusDeadlineExceeded / StatusOverloaded).
 func completeStatus(ca *call, status uint8) {
 	buf := getBuf()
-	*buf = append((*buf)[:0], 1, 0, 0, 0, status)
+	*buf = kvstore.StatusFrame((*buf)[:0], status)
 	ca.complete(buf)
 }
 
@@ -506,8 +505,8 @@ func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call) 
 	}
 	if limit == 0 {
 		buf := getBuf()
-		*buf = append((*buf)[:0], 5, 0, 0, 0, kvstore.StatusOK)
-		*buf = kvstore.AppendU32(*buf, 0)
+		out, fs := kvstore.BeginFrame((*buf)[:0])
+		*buf = kvstore.EndFrame(kvstore.AppendU32(append(out, kvstore.StatusOK), 0), fs)
 		ca.complete(buf)
 		return
 	}
@@ -587,9 +586,10 @@ func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call) 
 	}
 	sort.Slice(merged, func(a, b int) bool { return merged[a].k < merged[b].k })
 	buf := getBuf()
-	// Frame layout: [len u32][status][count u32][pairs...]; the length
-	// and count are back-filled once the merge settles.
-	out := append((*buf)[:0], 0, 0, 0, 0, kvstore.StatusOK, 0, 0, 0, 0)
+	// Payload layout: [status][count u32][pairs...]; the count is
+	// back-filled once the merge settles.
+	out, fs := kvstore.BeginFrame((*buf)[:0])
+	out = append(out, kvstore.StatusOK, 0, 0, 0, 0)
 	count := uint32(0)
 	var prev uint64
 	for _, e := range merged {
@@ -604,13 +604,8 @@ func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call) 
 		prev = e.k
 		count++
 	}
-	n := uint32(len(out) - 4)
-	out[0], out[1], out[2], out[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-	out[5] = byte(count)
-	out[6] = byte(count >> 8)
-	out[7] = byte(count >> 16)
-	out[8] = byte(count >> 24)
-	*buf = out
+	binary.LittleEndian.PutUint32(out[fs+1:], count)
+	*buf = kvstore.EndFrame(out, fs)
 	ca.complete(buf)
 }
 
@@ -860,9 +855,7 @@ func (p *Proxy) respondJSON(ca *call, v any) {
 		return
 	}
 	buf := getBuf()
-	*buf = append((*buf)[:0], 0, 0, 0, 0, kvstore.StatusOK)
-	*buf = append(*buf, js...)
-	n := uint32(len(*buf) - 4)
-	(*buf)[0], (*buf)[1], (*buf)[2], (*buf)[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+	out, fs := kvstore.BeginFrame((*buf)[:0])
+	*buf = kvstore.EndFrame(append(append(out, kvstore.StatusOK), js...), fs)
 	ca.complete(buf)
 }

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -45,14 +46,14 @@ func TestAdmissionPolicy(t *testing.T) {
 	a.init(1, 2)
 
 	// Free slot + live deadline: admitted.
-	if st := a.acquire(time.Now().Add(time.Minute)); st != StatusOK {
+	if st := a.acquire(time.Now().Add(time.Minute), nil); st != StatusOK {
 		t.Fatalf("acquire with free slot = %d", st)
 	}
 	a.release()
 
 	// Free slot + already-expired deadline: the post-token re-check
 	// refuses and returns the slot.
-	if st := a.acquire(time.Now().Add(-time.Millisecond)); st != StatusDeadlineExceeded {
+	if st := a.acquire(time.Now().Add(-time.Millisecond), nil); st != StatusDeadlineExceeded {
 		t.Fatalf("acquire with expired deadline = %d, want %d", st, StatusDeadlineExceeded)
 	}
 	if got := a.expired.Load(); got != 1 {
@@ -64,7 +65,7 @@ func TestAdmissionPolicy(t *testing.T) {
 
 	// Slot taken + deadline: queue until the deadline fires.
 	<-a.slots
-	if st := a.acquire(time.Now().Add(5 * time.Millisecond)); st != StatusDeadlineExceeded {
+	if st := a.acquire(time.Now().Add(5*time.Millisecond), nil); st != StatusDeadlineExceeded {
 		t.Fatalf("queued acquire past deadline = %d, want %d", st, StatusDeadlineExceeded)
 	}
 	if got := a.expired.Load(); got != 2 {
@@ -78,7 +79,7 @@ func TestAdmissionPolicy(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if st := a.acquire(time.Time{}); st == StatusOK {
+			if st := a.acquire(time.Time{}, nil); st == StatusOK {
 				admitted.Add(1)
 				a.release()
 			}
@@ -87,7 +88,7 @@ func TestAdmissionPolicy(t *testing.T) {
 	for a.waiters.Load() != 2 {
 		time.Sleep(time.Millisecond)
 	}
-	if st := a.acquire(time.Now().Add(time.Minute)); st != StatusOverloaded {
+	if st := a.acquire(time.Now().Add(time.Minute), nil); st != StatusOverloaded {
 		t.Fatalf("acquire with full queue = %d, want %d", st, StatusOverloaded)
 	}
 	if got := a.shed.Load(); got != 1 {
@@ -399,9 +400,10 @@ func slowEchoServer(t *testing.T, delay time.Duration) string {
 			}
 			go func() {
 				defer c.Close()
+				br := bufio.NewReaderSize(c, 64<<10)
 				var buf []byte
 				for {
-					p, err := readFrame(c, buf)
+					p, err := ReadFrame(br, buf)
 					if err != nil {
 						return
 					}

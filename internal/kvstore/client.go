@@ -3,7 +3,6 @@ package kvstore
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -255,7 +254,7 @@ func (cl *Client) CloseWrite() error {
 // the op byte, budget-flagged with its µs field when budget > 0. The
 // caller appends the op's fields and hands the frame to queue.
 func (cl *Client) header(op uint8, budget time.Duration) []byte {
-	b, _ := beginFrame(cl.wbuf[:0])
+	b, _ := BeginFrame(cl.wbuf[:0])
 	if budget > 0 {
 		return AppendBudget(b, op, budget)
 	}
@@ -264,7 +263,7 @@ func (cl *Client) header(op uint8, budget time.Duration) []byte {
 
 // queue back-fills the frame's length prefix and buffers it for Flush.
 func (cl *Client) queue(b []byte) {
-	cl.wbuf = endFrame(b, 4)
+	cl.wbuf = EndFrame(b, 4)
 	cl.bw.Write(cl.wbuf)
 }
 
@@ -317,20 +316,12 @@ func (cl *Client) RecvFrame(dst []byte) ([]byte, error) {
 		cl.c.SetReadDeadline(time.Now().Add(cl.opts.ReadTimeout))
 		defer cl.c.SetReadDeadline(time.Time{})
 	}
-	hdr, err := cl.br.Peek(4)
-	if err != nil {
-		return dst, err
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n == 0 || n > MaxFrame {
-		return dst, fmt.Errorf("kvstore: bad frame length %d", n)
-	}
-	full, err := cl.br.Peek(4 + int(n))
+	full, err := peekFrame(cl.br)
 	if err != nil {
 		return dst, err
 	}
 	dst = append(dst, full...)
-	if _, err := cl.br.Discard(4 + int(n)); err != nil {
+	if _, err := cl.br.Discard(len(full)); err != nil {
 		return dst, err
 	}
 	cl.consumed = true
@@ -379,7 +370,7 @@ func (cl *Client) recvRaw() ([]byte, error) {
 		cl.c.SetReadDeadline(time.Now().Add(cl.opts.ReadTimeout))
 		defer cl.c.SetReadDeadline(time.Time{})
 	}
-	p, err := readFrameBuffered(cl.br, cl.rbuf)
+	p, err := ReadFrame(cl.br, cl.rbuf)
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +485,7 @@ func (cl *Client) RecvDrain() (DrainReport, error) {
 // the head of the ticket queue (the sole goroutine reading responses)
 // ever arms a context: armed anywhere else, one op's cancellation
 // would fail a concurrent, never-cancelled op mid-read. Peek/Discard
-// framing (readFrameBuffered) guarantees the aborted read consumed
+// framing (ReadFrame) guarantees the aborted read consumed
 // nothing, so the stream stays aligned for the next owner.
 func (cl *Client) arm(ctx context.Context) func(error) error {
 	if ctx == nil || ctx.Done() == nil {

@@ -1,9 +1,17 @@
 package kvstore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -83,7 +91,7 @@ func FuzzServeRequest(f *testing.F) {
 	srv := NewServer(st, WithMaxInflight(2))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) == 0 || len(payload) > MaxFrame {
-			return // readFrame rejects these lengths before any parsing
+			return // ReadFrame rejects these lengths before any parsing
 		}
 		out := srv.serveOne(1, nil, bytes.Clone(payload))
 		if len(out) < 5 || len(out) > MaxFrame+4 {
@@ -96,4 +104,104 @@ func FuzzServeRequest(f *testing.F) {
 			t.Fatalf("request %x: unknown status %d", payload, out[4])
 		}
 	})
+}
+
+// FuzzServerConn feeds an arbitrary byte stream into one connection's
+// handle loop — the request side read through iotest.HalfReader so
+// frames arrive split across reads — while a goroutine drains the
+// responses over net.Pipe. handle must return soon after the input
+// ends, every response must be a well-formed frame with a known status,
+// and there must be exactly one response per whole frame at the head of
+// the input (the loop stops at the first bad length or truncation).
+// Seeded with the FuzzServeRequest corpus, each payload framed, plus
+// all of them as one pipelined stream.
+func FuzzServerConn(f *testing.F) {
+	paths, err := filepath.Glob("testdata/fuzz/FuzzServeRequest/*")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no FuzzServeRequest corpus: %v", err)
+	}
+	var stream []byte
+	for _, path := range paths {
+		frame := appendFrame(nil, corpusBytes(f, path))
+		f.Add(frame)
+		stream = append(stream, frame...)
+	}
+	f.Add(stream)
+	st, err := New(Config{Scheme: "orcgc", Shards: 2, Buckets: 64, MaxThreads: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(st, WithMaxInflight(2))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		sc, cc := net.Pipe()
+		defer cc.Close()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			serveConn(srv, inputConn{sc, iotest.HalfReader(bytes.NewReader(in))})
+		}()
+		cc.SetReadDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReaderSize(cc, 64<<10)
+		responses := 0
+		for {
+			resp, err := ReadFrame(br, nil)
+			if err == io.EOF && br.Buffered() == 0 {
+				break
+			}
+			if err != nil {
+				t.Fatalf("response %d: %v", responses, err)
+			}
+			if resp[0] > StatusOverloaded {
+				t.Fatalf("response %d: unknown status %d", responses, resp[0])
+			}
+			responses++
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("handle still running 10s after its input ended")
+		}
+		if whole := wholeFrames(in); responses != whole {
+			t.Fatalf("%d responses to %d whole request frames", responses, whole)
+		}
+	})
+}
+
+// inputConn is a server-side connection whose requests come from in:
+// reads end in EOF once in is exhausted while writes still go out.
+type inputConn struct {
+	net.Conn
+	in io.Reader
+}
+
+func (c inputConn) Read(b []byte) (int, error) { return c.in.Read(b) }
+
+// wholeFrames counts the complete frames at the head of b, stopping at
+// the first bad length prefix or truncated frame.
+func wholeFrames(b []byte) int {
+	n := 0
+	for len(b) >= 4 {
+		sz := int(binary.LittleEndian.Uint32(b))
+		if sz == 0 || sz > MaxFrame || len(b) < 4+sz {
+			break
+		}
+		b = b[4+sz:]
+		n++
+	}
+	return n
+}
+
+// corpusBytes decodes a one-value `go test fuzz v1` corpus file holding
+// a []byte.
+func corpusBytes(f *testing.F, path string) []byte {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+	b, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		f.Fatalf("%s: not a one-[]byte corpus file", path)
+	}
+	return []byte(b)
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -94,34 +93,26 @@ const (
 	MaxFrame     = 16 + MaxScanLimit*16
 )
 
-// readFrame reads one length-prefixed frame payload into buf (growing
-// it as needed) and returns the payload slice.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return nil, fmt.Errorf("kvstore: bad frame length %d", n)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readFrameBuffered reads one frame through br's buffer using
-// Peek/Discard so that an *aborted* read — a poisoned deadline firing
+// ReadFrame reads one frame payload through br's buffer into buf
+// (growing it as needed) and returns the payload slice. It reads with
+// Peek/Discard, so an *aborted* read — a poisoned deadline firing
 // mid-wait — consumes nothing: the frame stays buffered (or unread) and
 // the response stream keeps its alignment, leaving the connection
 // reusable after a cancellation. br's buffer must hold a full frame
 // (4+MaxFrame bytes).
-func readFrameBuffered(br *bufio.Reader, buf []byte) ([]byte, error) {
+func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	full, err := peekFrame(br)
+	if err != nil {
+		return nil, err
+	}
+	buf = append(buf[:0], full[4:]...)
+	_, err = br.Discard(len(full))
+	return buf, err
+}
+
+// peekFrame returns the next whole frame in br, length prefix included,
+// without consuming it.
+func peekFrame(br *bufio.Reader) ([]byte, error) {
 	hdr, err := br.Peek(4)
 	if err != nil {
 		return nil, err
@@ -130,19 +121,7 @@ func readFrameBuffered(br *bufio.Reader, buf []byte) ([]byte, error) {
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("kvstore: bad frame length %d", n)
 	}
-	full, err := br.Peek(4 + int(n))
-	if err != nil {
-		return nil, err
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	copy(buf, full[4:])
-	if _, err := br.Discard(4 + int(n)); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return br.Peek(4 + int(n))
 }
 
 // frameBuffered reports whether br already holds one whole frame, so
@@ -208,11 +187,10 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// ReadFrame and AppendFrame expose the framing to the cluster proxy,
-// which terminates the protocol on its client side and forwards request
+// AppendFrame exposes the framing to the cluster proxy, which
+// terminates the protocol on its client side and forwards request
 // payloads to backends verbatim.
-func ReadFrame(r io.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
-func AppendFrame(dst, payload []byte) []byte            { return appendFrame(dst, payload) }
+func AppendFrame(dst, payload []byte) []byte { return appendFrame(dst, payload) }
 
 // Field accessors for proxies that route on the key without decoding
 // the full request.
@@ -221,18 +199,33 @@ func PayloadU32(b []byte, off int) (uint32, bool) { return getU32(b, off) }
 func AppendU64(dst []byte, v uint64) []byte       { return appendU64(dst, v) }
 func AppendU32(dst []byte, v uint32) []byte       { return appendU32(dst, v) }
 
-// beginFrame reserves the length prefix in dst and returns the offset
-// where the payload starts; endFrame back-fills the prefix once the
-// payload is complete. Between the two, the response is encoded directly
-// into the connection's pooled buffer — no intermediate payload slice.
-func beginFrame(dst []byte) ([]byte, int) {
+// BeginFrame reserves the length prefix in dst and returns the offset
+// where the payload starts; EndFrame back-fills the prefix once the
+// payload is complete. Between the two, a frame is encoded directly into
+// its destination buffer — no intermediate payload slice.
+func BeginFrame(dst []byte) ([]byte, int) {
 	dst = append(dst, 0, 0, 0, 0)
 	return dst, len(dst)
 }
 
-func endFrame(dst []byte, start int) []byte {
+func EndFrame(dst []byte, start int) []byte {
 	binary.LittleEndian.PutUint32(dst[start-4:], uint32(len(dst)-start))
 	return dst
+}
+
+// StatusFrame encodes a bare single-status response into dst.
+func StatusFrame(dst []byte, status uint8) []byte {
+	out, fs := BeginFrame(dst)
+	return EndFrame(append(out, status), fs)
+}
+
+// ErrFrame completes an in-progress frame as an error response. The
+// payload hole is still empty on every error path (errors are detected
+// before any payload bytes are appended).
+func ErrFrame(out []byte, start int, msg string) []byte {
+	out = append(out, StatusErr)
+	out = append(out, msg...)
+	return EndFrame(out, start)
 }
 
 func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }

@@ -19,10 +19,9 @@ import (
 // map one-to-one onto reclamation threads. A connection gets the lowest
 // free tid, so connection churn keeps reusing the same few tids and the
 // OrcGC retire scans, which stop at the highest tid that ever published,
-// stay short. A reader goroutine parses and executes requests serially
-// (per-connection order is the protocol contract) while a writer
-// goroutine streams responses, flushing only when the pipeline goes
-// idle.
+// stay short. One goroutine per connection reads, executes and answers
+// its requests serially (per-connection order is the protocol
+// contract), flushing its responses once per burst.
 type Server struct {
 	st *Store
 	ln net.Listener
@@ -31,10 +30,10 @@ type Server struct {
 
 	adm admission
 
-	mu      sync.Mutex
-	conns   map[net.Conn]*connState
-	tidBusy []bool // under mu: which tids live connections hold
-	closed  bool
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	out    []*bufio.Writer // by tid, set under mu: the holding connection's response writer (nil = tid free), found by serveOne to flush before a wait
+	closed bool
 
 	m *srvMetrics // nil unless Instrument was called
 
@@ -76,8 +75,10 @@ func (a *admission) init(limit, queue int) {
 // acquire takes an inflight slot, waiting until deadline (zero = wait
 // forever) while the waiter bound allows. Returns StatusOK holding a
 // slot, or the shed status to answer with — in which case no slot is
-// held and the op must not execute.
-func (a *admission) acquire(deadline time.Time) uint8 {
+// held and the op must not execute. Before it parks it flushes out (if
+// non-nil), so responses already encoded never wait on the queue; a
+// failed flush stays on out, and the connection loop acts on it.
+func (a *admission) acquire(deadline time.Time, out *bufio.Writer) uint8 {
 	select {
 	case <-a.slots:
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
@@ -94,6 +95,9 @@ func (a *admission) acquire(deadline time.Time) uint8 {
 		return StatusOverloaded
 	}
 	defer a.waiters.Add(-1)
+	if out != nil {
+		out.Flush()
+	}
 	if deadline.IsZero() {
 		<-a.slots
 		return StatusOK
@@ -132,20 +136,6 @@ func (s *Server) AdmissionStats() AdmissionStats {
 		DeadlineExceeded: s.adm.expired.Load(),
 	}
 }
-
-// connState is what the server tracks per live connection; the response
-// channel is kept so the queue-depth gauge can sum backlogs.
-type connState struct {
-	resp chan *[]byte
-}
-
-// framePool recycles response-frame buffers between each connection's
-// reader goroutine (which encodes a response into one) and writer
-// goroutine (which returns it once the bytes are in the bufio writer) —
-// the arena's magazine style applied to the TCP path. Buffers are
-// passed as *[]byte so Put never allocates a slice header, and a
-// steady-state request makes zero frame allocations.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // srvMetrics is the optional request-path instrumentation: one striped
 // counter and one sampled latency histogram per op kind, keyed by the
@@ -211,10 +201,10 @@ func NewServer(st *Store, opts ...ServerOption) *Server {
 		o(&sc)
 	}
 	s := &Server{
-		st:      st,
-		tids:    make(chan struct{}, st.MaxThreads()-1),
-		conns:   make(map[net.Conn]*connState),
-		tidBusy: make([]bool, st.MaxThreads()),
+		st:    st,
+		tids:  make(chan struct{}, st.MaxThreads()-1),
+		conns: make(map[net.Conn]struct{}),
+		out:   make([]*bufio.Writer, st.MaxThreads()),
 	}
 	s.adm.init(sc.maxInflight, sc.maxQueue)
 	for t := 1; t < st.MaxThreads(); t++ {
@@ -225,8 +215,8 @@ func NewServer(st *Store, opts ...ServerOption) *Server {
 
 // Instrument registers the server's request metrics with reg: per-op
 // throughput counters ("kv/server/ops/get"), 1-in-64-sampled per-op
-// latency histograms ("kv/server/lat/get_ns"), and gauges for active
-// connections and summed response-queue depth. Call before Serve.
+// latency histograms ("kv/server/lat/get_ns"), and a gauge of active
+// connections. Call before Serve.
 func (s *Server) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -241,15 +231,6 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return int64(len(s.conns))
-	})
-	reg.GaugeFunc("kv/server/queue_depth", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		var d int64
-		for _, cs := range s.conns {
-			d += int64(len(cs.resp))
-		}
-		return d
 	})
 	reg.GaugeFunc("kv/server/shed_total", func() int64 {
 		return int64(s.adm.shed.Load())
@@ -294,14 +275,14 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		select {
 		case <-s.tids:
-			cs, tid, ok := s.track(c)
+			tid, ok := s.track(c)
 			if !ok {
 				s.tids <- struct{}{}
 				c.Close()
 				return nil
 			}
 			s.wg.Add(1)
-			go s.handle(c, cs, tid)
+			go s.handle(c, tid)
 		default:
 			// Tid pool exhausted: every reclamation thread slot is in
 			// use. Refuse rather than queue — the client sees EOF.
@@ -310,28 +291,27 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// track registers c and hands it the lowest free tid. The caller holds
-// a tid token, so one is free.
-func (s *Server) track(c net.Conn) (*connState, int, bool) {
+// track registers c and hands it the lowest free tid, with a response
+// writer on c. The caller holds a tid token, so one is free.
+func (s *Server) track(c net.Conn) (int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, 0, false
+		return 0, false
 	}
 	tid := 1
-	for s.tidBusy[tid] {
+	for s.out[tid] != nil {
 		tid++
 	}
-	s.tidBusy[tid] = true
-	cs := &connState{resp: make(chan *[]byte, 256)}
-	s.conns[c] = cs
-	return cs, tid, true
+	s.out[tid] = bufio.NewWriterSize(c, 64<<10)
+	s.conns[c] = struct{}{}
+	return tid, true
 }
 
 func (s *Server) untrack(c net.Conn, tid int) {
 	s.mu.Lock()
 	delete(s.conns, c)
-	s.tidBusy[tid] = false
+	s.out[tid] = nil
 	s.mu.Unlock()
 }
 
@@ -360,65 +340,46 @@ func (s *Server) Shutdown() {
 	s.wg.Wait()
 }
 
-// handle runs one connection: the reader executes ops with this
-// connection's tid and hands encoded responses to the writer over the
-// tracked response channel.
-func (s *Server) handle(c net.Conn, cs *connState, tid int) {
+// handle runs one connection on one goroutine: it executes each request
+// inline with the connection's tid, encodes the response into one reused
+// buffer and writes it to the tid's bufio.Writer. It flushes only when
+// the next frame is not already buffered (the burst is over), before a
+// wait that is not execution (an admission park, DRAIN's tid claim),
+// and on exit.
+func (s *Server) handle(c net.Conn, tid int) {
 	defer s.wg.Done()
 	defer func() { s.tids <- struct{}{} }()
 	defer s.untrack(c, tid)
 	defer c.Close()
 
-	resp := cs.resp
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		bw := bufio.NewWriterSize(c, 64<<10)
-		for bp := range resp {
-			bw.Write(*bp)
-			idle := len(resp) == 0
-			*bp = (*bp)[:0]
-			framePool.Put(bp)
-			if idle {
-				bw.Flush() // pipeline idle — push responses out
+	br := bufio.NewReaderSize(c, 64<<10)
+	bw := s.out[tid]
+	defer bw.Flush()
+	var req, resp []byte
+	m := s.m
+	for nops := uint64(0); ; nops++ {
+		if !frameBuffered(br) && bw.Flush() != nil {
+			return // the client cannot receive; stop executing for it
+		}
+		payload, err := ReadFrame(br, req)
+		if err != nil {
+			return // EOF, half-close, or framing error
+		}
+		req = payload
+		op := payload[0] &^ OpFlagBudget
+		var t0 time.Time
+		if m != nil && op < opMax {
+			m.ops[op].Inc(tid)
+			if nops&latSampleMask == 0 {
+				t0 = time.Now()
 			}
 		}
-		bw.Flush()
-	}()
-
-	br := bufio.NewReaderSize(c, 64<<10)
-	var buf []byte
-	m := s.m
-	var nops uint64
-	for {
-		payload, err := readFrame(br, buf)
-		if err != nil {
-			break // EOF, half-close, or framing error
-		}
-		buf = payload
-		bp := framePool.Get().(*[]byte)
-		if m == nil {
-			*bp = s.serveOne(tid, (*bp)[:0], payload)
-			resp <- bp
-			continue
-		}
-		op := payload[0] &^ OpFlagBudget
-		if op < opMax {
-			m.ops[op].Inc(tid)
-		}
-		if nops&latSampleMask == 0 && op < opMax {
-			t0 := time.Now()
-			*bp = s.serveOne(tid, (*bp)[:0], payload)
+		resp = s.serveOne(tid, resp[:0], payload)
+		if !t0.IsZero() {
 			m.lat[op].Observe(uint64(time.Since(t0)))
-		} else {
-			*bp = s.serveOne(tid, (*bp)[:0], payload)
 		}
-		resp <- bp
-		nops++
+		bw.Write(resp)
 	}
-	close(resp)
-	wwg.Wait()
 }
 
 // serveOne answers one request payload, encoding the response frame
@@ -431,8 +392,8 @@ func (s *Server) handle(c net.Conn, cs *connState, tid int) {
 func (s *Server) serveOne(tid int, dst, payload []byte) []byte {
 	req, budget, ok := SplitBudget(payload)
 	if !ok {
-		out, fs := beginFrame(dst)
-		return errFrame(out, fs, "malformed budget prefix")
+		out, fs := BeginFrame(dst)
+		return ErrFrame(out, fs, "malformed budget prefix")
 	}
 	var deadline time.Time
 	if budget > 0 {
@@ -441,11 +402,11 @@ func (s *Server) serveOne(tid int, dst, payload []byte) []byte {
 	if op := req[0]; op >= OpGet && op <= OpScan {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			s.adm.expired.Add(1)
-			return statusFrame(dst, StatusDeadlineExceeded)
+			return StatusFrame(dst, StatusDeadlineExceeded)
 		}
 		if s.adm.slots != nil {
-			if st := s.adm.acquire(deadline); st != StatusOK {
-				return statusFrame(dst, st)
+			if st := s.adm.acquire(deadline, s.out[tid]); st != StatusOK {
+				return StatusFrame(dst, st)
 			}
 			defer s.adm.release()
 		}
@@ -453,87 +414,82 @@ func (s *Server) serveOne(tid int, dst, payload []byte) []byte {
 	return s.execute(tid, dst, req)
 }
 
-// statusFrame encodes a bare single-status response into dst.
-func statusFrame(dst []byte, status uint8) []byte {
-	out, fs := beginFrame(dst)
-	return endFrame(append(out, status), fs)
-}
-
 // execute runs one request, encoding the response frame directly into
-// dst (a recycled buffer from framePool), and returns the grown slice.
+// dst (the connection's reused response buffer), and returns the grown
+// slice.
 func (s *Server) execute(tid int, dst, req []byte) []byte {
-	out, fs := beginFrame(dst)
+	out, fs := BeginFrame(dst)
 	op := req[0]
 	switch op {
 	case OpGet:
 		key, ok := getU64(req, 1)
 		if !ok {
-			return errFrame(out, fs, "short GET")
+			return ErrFrame(out, fs, "short GET")
 		}
 		v, found, err := s.st.Get(tid, key)
 		if err != nil {
-			return errFrame(out, fs, err.Error())
+			return ErrFrame(out, fs, err.Error())
 		}
 		if !found {
-			return endFrame(append(out, StatusNotFound), fs)
+			return EndFrame(append(out, StatusNotFound), fs)
 		}
 		out = append(out, StatusOK)
 		out = appendU64(out, v)
-		return endFrame(out, fs)
+		return EndFrame(out, fs)
 	case OpPut:
 		key, ok1 := getU64(req, 1)
 		val, ok2 := getU64(req, 9)
 		if !ok1 || !ok2 {
-			return errFrame(out, fs, "short PUT")
+			return ErrFrame(out, fs, "short PUT")
 		}
 		ins, err := s.st.Put(tid, key, val)
 		if err != nil {
-			return errFrame(out, fs, err.Error())
+			return ErrFrame(out, fs, err.Error())
 		}
 		b := uint8(0)
 		if ins {
 			b = 1
 		}
-		return endFrame(append(out, StatusOK, b), fs)
+		return EndFrame(append(out, StatusOK, b), fs)
 	case OpDel:
 		key, ok := getU64(req, 1)
 		if !ok {
-			return errFrame(out, fs, "short DEL")
+			return ErrFrame(out, fs, "short DEL")
 		}
 		found, err := s.st.Del(tid, key)
 		if err != nil {
-			return errFrame(out, fs, err.Error())
+			return ErrFrame(out, fs, err.Error())
 		}
 		if !found {
-			return endFrame(append(out, StatusNotFound), fs)
+			return EndFrame(append(out, StatusNotFound), fs)
 		}
-		return endFrame(append(out, StatusOK), fs)
+		return EndFrame(append(out, StatusOK), fs)
 	case OpScan:
 		from, ok1 := getU64(req, 1)
 		limit, ok2 := getU32(req, 9)
 		if !ok1 || !ok2 {
-			return errFrame(out, fs, "short SCAN")
+			return ErrFrame(out, fs, "short SCAN")
 		}
 		if limit > MaxScanLimit {
 			limit = MaxScanLimit
 		}
 		pairs, err := s.st.Scan(tid, from, int(limit))
 		if err != nil {
-			return errFrame(out, fs, err.Error())
+			return ErrFrame(out, fs, err.Error())
 		}
 		out = append(out, StatusOK)
 		out = appendU32(out, uint32(len(pairs)/2))
 		for _, w := range pairs {
 			out = appendU64(out, w)
 		}
-		return endFrame(out, fs)
+		return EndFrame(out, fs)
 	case OpStats:
 		js, err := json.Marshal(s.st.Stats())
 		if err != nil {
-			return errFrame(out, fs, err.Error())
+			return ErrFrame(out, fs, err.Error())
 		}
 		out = append(out, StatusOK)
-		return endFrame(append(out, js...), fs)
+		return EndFrame(append(out, js...), fs)
 	case OpDrain:
 		// Quiescent barrier: DrainAndCheck walks every tid's protection
 		// slots (plain owner-mirrors, not atomics), so every other
@@ -543,7 +499,10 @@ func (s *Server) execute(tid int, dst, req []byte) []byte {
 		// pool seeding, for never-used ones), and an empty pool makes
 		// Serve refuse connections that arrive mid-drain. A client that
 		// keeps its connection open makes this time out rather than
-		// race.
+		// race. The claim may wait, so the burst so far goes out first.
+		if bw := s.out[tid]; bw != nil {
+			bw.Flush()
+		}
 		claimed := 0
 		timeout := time.After(30 * time.Second)
 		giveBack := func() {
@@ -557,28 +516,19 @@ func (s *Server) execute(tid int, dst, req []byte) []byte {
 				claimed++
 			case <-timeout:
 				giveBack()
-				return errFrame(out, fs, "drain: store busy (another connection still holds a reclamation tid)")
+				return ErrFrame(out, fs, "drain: store busy (another connection still holds a reclamation tid)")
 			}
 		}
 		js, err := json.Marshal(s.st.DrainAndCheck(tid))
 		giveBack()
 		if err != nil {
-			return errFrame(out, fs, err.Error())
+			return ErrFrame(out, fs, err.Error())
 		}
 		out = append(out, StatusOK)
-		return endFrame(append(out, js...), fs)
+		return EndFrame(append(out, js...), fs)
 	default:
-		return errFrame(out, fs, fmt.Sprintf("unknown op %d", op))
+		return ErrFrame(out, fs, fmt.Sprintf("unknown op %d", op))
 	}
-}
-
-// errFrame completes an in-progress frame as an error response. The
-// payload hole is still empty on every error path (errors are detected
-// before any payload bytes are appended).
-func errFrame(out []byte, start int, msg string) []byte {
-	out = append(out, StatusErr)
-	out = append(out, msg...)
-	return endFrame(out, start)
 }
 
 // ListenAndServe is the cmd/kvserver entry point: listen on addr and

@@ -1,21 +1,27 @@
 package kvstore
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ds/hashmap"
 	"repro/internal/ds/skiplist"
+	"repro/internal/obs"
 )
 
 // ctx is the no-deadline context the blocking round trips in these
 // tests run under; cancellation behavior has its own test.
 var ctx = context.Background()
 
-func startServer(t *testing.T, scheme string, maxThreads int) (*Store, *Server, string) {
+func startServer(t *testing.T, scheme string, maxThreads int, opts ...ServerOption) (*Store, *Server, string) {
 	t.Helper()
 	st, err := New(Config{Scheme: scheme, Shards: 4, Buckets: 256, MaxThreads: maxThreads})
 	if err != nil {
@@ -25,7 +31,7 @@ func startServer(t *testing.T, scheme string, maxThreads int) (*Store, *Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(st)
+	srv := NewServer(st, opts...)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -182,8 +188,6 @@ func TestServerPipelinedDrain(t *testing.T) {
 	}
 }
 
-// TestServerTidExhaustion checks the server refuses connections beyond
-// the tid pool instead of corrupting reclamation state.
 // TestServerReusesLowestTid: sequential connections all run as tid 1,
 // so connection churn never raises an OrcGC domain's tid watermark past
 // tid 0 (construction) and tid 1.
@@ -223,6 +227,8 @@ func TestServerReusesLowestTid(t *testing.T) {
 	}
 }
 
+// TestServerTidExhaustion checks the server refuses connections beyond
+// the tid pool instead of corrupting reclamation state.
 func TestServerTidExhaustion(t *testing.T) {
 	_, _, addr := startServer(t, "ebr", 2) // pool = {1}: one connection
 	cl1, err := Dial(addr)
@@ -240,5 +246,186 @@ func TestServerTidExhaustion(t *testing.T) {
 	defer cl2.Close()
 	if _, err := cl2.Put(ctx, 2, 2); err == nil {
 		t.Fatal("second connection should have been refused")
+	}
+}
+
+// serveConn runs handle on c the way Serve runs an accepted connection:
+// with a tid token, the lowest free tid and that tid's writer.
+func serveConn(s *Server, c net.Conn) {
+	<-s.tids
+	tid, _ := s.track(c)
+	s.wg.Add(1)
+	s.handle(c, tid)
+}
+
+// getFrames encodes a pipelined burst of GETs for keys 1..n.
+func getFrames(n int) []byte {
+	var b []byte
+	for k := 1; k <= n; k++ {
+		b = appendFrame(b, appendU64([]byte{OpGet}, uint64(k)))
+	}
+	return b
+}
+
+// TestServerFlushesBeforeAdmissionPark: a response already encoded must
+// not wait behind a later op parked in admission. STATS bypasses
+// admission and executes at once; the GET pipelined behind it parks on
+// the held slot, and the connection must flush the STATS response
+// before it parks.
+func TestServerFlushesBeforeAdmissionPark(t *testing.T) {
+	_, srv, addr := startServer(t, "orcgc", 8, WithMaxInflight(1))
+	cl, err := Dial(addr, WithReadTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	<-srv.adm.slots // the only inflight slot
+	release := sync.OnceFunc(func() { srv.adm.slots <- struct{}{} })
+	defer release() // before Shutdown waits for the parked GET
+
+	cl.SendStats()
+	cl.SendGet(1)
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RecvStats(); err != nil {
+		t.Fatalf("STATS response held behind a GET parked in admission: %v", err)
+	}
+	release()
+	if _, found, err := cl.RecvGet(); err != nil || found {
+		t.Fatalf("GET after the slot freed = found %v, err %v", found, err)
+	}
+}
+
+// TestServerFlushesBeforeDrainClaim: DRAIN waits to claim every other
+// connection's tid, so the responses pipelined ahead of it go out first.
+func TestServerFlushesBeforeDrainClaim(t *testing.T) {
+	_, _, addr := startServer(t, "orcgc", 4)
+	other, err := net.Dial("tcp", addr) // holds a tid until closed
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	cl, err := Dial(addr, WithReadTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SendGet(1)
+	cl.SendDrain()
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.RecvGet(); err != nil {
+		t.Fatalf("GET response held behind a DRAIN waiting for tids: %v", err)
+	}
+	other.Close()
+	if rep, err := cl.RecvDrain(); err != nil || !rep.LeakOK {
+		t.Fatalf("DRAIN after the other connection closed = %+v, %v", rep, err)
+	}
+}
+
+// TestServerFlushesOnPartialFrame: buffered bytes that are not yet a
+// whole frame end the burst like an empty buffer does — the responses
+// so far go out before the read waits for the rest.
+func TestServerFlushesOnPartialFrame(t *testing.T) {
+	_, _, addr := startServer(t, "orcgc", 4)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	br := bufio.NewReaderSize(c, 64<<10)
+	frames := getFrames(2)
+	half := len(frames)/2 + 3 // the first GET plus 3 bytes of the second
+	if _, err := c.Write(frames[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := ReadFrame(br, nil); err != nil || resp[0] != StatusNotFound {
+		t.Fatalf("first GET response = %x, %v", resp, err)
+	}
+	if _, err := c.Write(frames[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := ReadFrame(br, nil); err != nil || resp[0] != StatusNotFound {
+		t.Fatalf("second GET response = %x, %v", resp, err)
+	}
+}
+
+// TestServerSteadyStateZeroAlloc: an instrumented connection answers a
+// warm pipelined GET burst with no allocation — requests are read into,
+// and responses encoded into, buffers the connection reuses.
+func TestServerSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race pass")
+	}
+	const burst = 32
+	st, err := New(Config{Scheme: "orcgc", Shards: 4, Buckets: 256, MaxThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st)
+	srv.Instrument(obs.NewRegistry())
+	for k := uint64(1); k <= burst; k++ {
+		if _, err := st.Put(0, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc, cc := net.Pipe()
+	go serveConn(srv, sc)
+	defer srv.Shutdown()
+	defer cc.Close()
+
+	req := getFrames(burst)
+	resp := make([]byte, burst*(4+1+8))
+	roundTrip := func() {
+		if _, err := cc.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(cc, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // size the connection's buffers
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Fatalf("%v allocations per %d-GET burst, want 0", n, burst)
+	}
+	if resp[4] != StatusOK || binary.LittleEndian.Uint64(resp[5:]) != 1 {
+		t.Fatalf("first GET response %x", resp[:13])
+	}
+}
+
+// TestServerOneGoroutinePerConn: a connection runs on one goroutine, so
+// N idle connections add exactly N. Counted from a stack dump — the
+// goroutines inside Server.handle, closures it starts included — so
+// goroutines of earlier tests still exiting cannot skew the count.
+func TestServerOneGoroutinePerConn(t *testing.T) {
+	const n = 8
+	_, _, addr := startServer(t, "orcgc", 2*n)
+	get := getFrames(1)
+	for i := 0; i < n; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(get); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFrame(bufio.NewReader(c), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 1<<20)
+	stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+	got := 0
+	for _, g := range stacks {
+		if strings.Contains(g, "kvstore.(*Server).handle") {
+			got++
+		}
+	}
+	if got != n {
+		t.Fatalf("%d idle connections run %d goroutines, want %d", n, got, n)
 	}
 }
