@@ -45,11 +45,12 @@ race-peek:
 # The proxy fast-path regression guards, run without the race detector
 # so the AllocsPerRun assertion measures the real path (race
 # instrumentation allocates): a steady-state proxied GET/PUT must not
-# allocate, a churned topology must return to its goroutine baseline,
-# and a client burst must reach each backend batched (lane_frames /
-# lane_writes ≥ 4).
+# allocate, a dispatched SCAN or STATS must leave no goroutine waiting
+# on its backend legs (and merge them right), a churned topology must
+# return to its goroutine baseline, and a client burst must reach each
+# backend batched (lane_frames / lane_writes ≥ 4).
 cluster-guards:
-	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyGoroutineBaseline|TestProxyBurstBatching' -count=1 -v
+	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyScanStatsNoGoroutine|TestProxyGoroutineBaseline|TestProxyBurstBatching' -count=1 -v
 
 # The repo's one measurement system: four workloads (ds-churn, ds-read,
 # kv-mixed, proxy-read) x five subjects, the end-to-end metrics with
@@ -186,11 +187,14 @@ overload-smoke:
 # one well-formed response frame each; FuzzServerConn feeds an arbitrary
 # byte stream through one connection's read/execute/flush loop and
 # requires it to exit on EOF with one well-formed response per whole
-# frame. go test -fuzz takes one target per run.
+# frame. FuzzProxyConn holds kvproxy's client connection loop to the
+# same oracle, over stub backends. go test -fuzz takes one target per
+# run.
 fuzz-smoke:
 	$(GO) test ./internal/kvstore/ -run '^$$' -fuzz '^FuzzSplitBudget$$' -fuzztime 10s
 	$(GO) test ./internal/kvstore/ -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s
 	$(GO) test ./internal/kvstore/ -run '^$$' -fuzz '^FuzzServerConn$$' -fuzztime 10s
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzProxyConn$$' -fuzztime 10s
 
 # Capture a 10s CPU profile of kvproxy under load (bin/kvproxy +
 # /debug/pprof via -pprof); see scripts/profile_cluster.sh.

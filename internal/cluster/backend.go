@@ -47,13 +47,13 @@ var (
 // call is one request in flight to a backend (and, reused on the other
 // side, one client-facing response slot).
 //
-// A call settles in one of two ways. A *blocking* call (gop and wop
-// nil) carries exactly one done token per cycle: the completer sends,
-// the collector receives, and only then may the call return to the
-// pool. A *continuation* call belongs to a pooled per-op state machine
-// (getOp or writeOp): the completer — usually a lane receiver — invokes
-// the op's backendDone directly instead of waking a parked goroutine,
-// which is what makes a steady-state proxied op goroutine-free.
+// A call settles in one of two ways. A *blocking* call (cont nil)
+// carries exactly one done token per cycle: the completer sends, the
+// collector receives, and only then may the call return to the pool. A
+// *continuation* call belongs to a pooled op (getOp, writeOp or a
+// scatter): the completer — usually a lane receiver — invokes the op's
+// backendDone directly instead of waking a parked goroutine, which is
+// what makes a proxied op goroutine-free.
 //
 // respBuf always holds a complete response *frame* (4-byte length
 // prefix included) so the client-facing writer can forward it verbatim;
@@ -66,11 +66,10 @@ type call struct {
 	start   time.Time
 	state   atomic.Int32
 
-	// Continuation routing: at most one of gop/wop is set. srcB is the
-	// backend the call was submitted to (for demotion on failure) and
-	// isHedge tags the speculative copy of a hedged read.
-	gop     *getOp
-	wop     *writeOp
+	// Continuation routing: cont is the owning op, srcB the backend the
+	// call was submitted to (for demotion on failure) and isHedge tags
+	// the speculative copy of a hedged read.
+	cont    interface{ backendDone(*call) }
 	srcB    *backend
 	isHedge bool
 }
@@ -96,7 +95,7 @@ func putCall(ca *call) {
 		ca.respBuf = nil
 	}
 	ca.resp = nil
-	ca.gop, ca.wop, ca.srcB = nil, nil, nil
+	ca.cont, ca.srcB = nil, nil
 	ca.isHedge = false
 	callPool.Put(ca)
 }
@@ -111,12 +110,8 @@ func (ca *call) complete(respBuf *[]byte) {
 		if respBuf != nil {
 			ca.resp = (*respBuf)[4:]
 		}
-		if op := ca.gop; op != nil {
-			op.backendDone(ca)
-			return
-		}
-		if op := ca.wop; op != nil {
-			op.backendDone(ca)
+		if ca.cont != nil {
+			ca.cont.backendDone(ca)
 			return
 		}
 		ca.done <- struct{}{}
@@ -131,12 +126,8 @@ func (ca *call) complete(respBuf *[]byte) {
 func (ca *call) fail(err error) {
 	if ca.state.CompareAndSwap(callLive, callSettled) {
 		ca.err = err
-		if op := ca.gop; op != nil {
-			op.backendDone(ca)
-			return
-		}
-		if op := ca.wop; op != nil {
-			op.backendDone(ca)
+		if ca.cont != nil {
+			ca.cont.backendDone(ca)
 			return
 		}
 		ca.done <- struct{}{}
@@ -596,9 +587,9 @@ func (b *backend) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
 	return c.trySubmit(fr, ca)
 }
 
-// roundTrip is the blocking helper the scatter paths (scan, stats,
-// drain, resync) use. The returned call owns the response; the caller
-// must putCall it after consuming resp.
+// roundTrip is the blocking helper rebalancing's single-key reads,
+// copies and deletes use. The returned call owns the response; the
+// caller must putCall it after consuming resp.
 func (b *backend) roundTrip(req []byte) (*call, error) {
 	fr := getWire()
 	fr.b = kvstore.AppendFrame(fr.b, req)
@@ -616,6 +607,47 @@ func (b *backend) roundTrip(req []byte) (*call, error) {
 		return nil, err
 	}
 	return ca, nil
+}
+
+// fanOut is one scatter in flight: a leg per source plus a setup hold,
+// settled by whichever goroutine retires the last count.
+type fanOut struct {
+	legs        []*call
+	outstanding atomic.Int32
+	done        func(legs []*call)
+}
+
+// scatter submits req to every source as one pooled continuation call
+// each, then runs done(legs) once every leg has settled — on the
+// goroutine that settled the last one, a lane receiver unless a submit
+// failed — so done must never block. legs[i] answers sources[i] (err
+// set if it failed) and returns to the pool when done returns. The
+// submissions themselves may block at full lane depth, like any
+// reader-side submit.
+func scatter(sources []*backend, req []byte, done func(legs []*call)) {
+	f := &fanOut{legs: make([]*call, len(sources)), done: done}
+	f.outstanding.Store(int32(len(sources)) + 1) // setup hold: no settlement while still submitting
+	fr := getWire()
+	fr.b = kvstore.AppendFrame(fr.b, req)
+	for i, b := range sources {
+		lc := getCall()
+		lc.cont = f
+		f.legs[i] = lc
+		if !b.submit(fr, lc) {
+			lc.fail(errBackendDown)
+		}
+	}
+	fr.unref()
+	f.backendDone(nil) // release the setup hold
+}
+
+func (f *fanOut) backendDone(*call) {
+	if f.outstanding.Add(-1) == 0 {
+		f.done(f.legs)
+		for _, lc := range f.legs {
+			putCall(lc)
+		}
+	}
 }
 
 // Hedge-delay bookkeeping: re-derive the hedged read trigger as 2×p99,

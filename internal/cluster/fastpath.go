@@ -134,7 +134,7 @@ func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call) {
 // or the failed-submit path — releases it.
 func (op *getOp) newCall(b *backend, hedge bool) *call {
 	bc := getCall()
-	bc.gop = op
+	bc.cont = op
 	bc.srcB = b
 	bc.isHedge = hedge
 	op.refs.Add(1)
@@ -271,7 +271,7 @@ func (op *getOp) backendDone(bc *call) {
 		}
 		if op.outstanding > 0 {
 			// The losing sibling's lane claim is released by its own
-			// completion; count it the way abandon() used to.
+			// completion; count it as a cancelled hedge.
 			op.p.hedgesCancelled.Add(1)
 		}
 		op.disarmLocked()
@@ -465,7 +465,7 @@ func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call)
 	set, elig := p.writeSet(key, bbuf[:0], hbuf[:0])
 	for i, b := range set {
 		bc := getCall()
-		bc.wop = op
+		bc.cont = op
 		bc.srcB = b
 		n := op.n
 		op.calls[n], op.backs[n], op.healthy[n] = bc, b, elig[i]
@@ -476,7 +476,6 @@ func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call)
 			op.n = n
 			op.calls[n] = nil
 			op.outstanding.Add(-1) // cannot hit 0: setup hold outstanding
-			bc.wop = nil
 			putCall(bc)
 			if elig[i] {
 				b.suspect()

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -201,4 +204,108 @@ func TestProxyGoroutineBaseline(t *testing.T) {
 	if v, ok, err := cl.Get(ctx, 1); err != nil || !ok || v != 10 {
 		t.Fatalf("Get after churn = %d, %v, %v", v, ok, err)
 	}
+}
+
+// proxyOpGoroutines counts the goroutines parked inside the proxy's op
+// handling or a blocking backend round trip, read from a full stack
+// dump (NumGoroutine deltas also see other tests' goroutines exiting).
+func proxyOpGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("cluster.(*Proxy)")) || bytes.Contains(g, []byte("(*backend).roundTrip")) {
+			n++
+		}
+	}
+	return n
+}
+
+// SCAN and STATS are scattered from the dispatching goroutine and
+// merged by whichever completion settles the last leg: with every leg
+// parked at its backend, no goroutine may be waiting on them. Once the
+// legs answer, the horizon merge and the STATS aggregate come out of
+// the completions.
+func TestProxyScanStatsNoGoroutine(t *testing.T) {
+	p := stubProxy(2)
+	backs := p.topo.Load().backs
+	type leg struct {
+		b  int
+		op uint8
+		ca *call
+	}
+	parked := make(chan leg, 4) // one per leg: two SCAN, two STATS
+	for i, b := range backs {
+		b.testSubmit = func(fr *wireBuf, ca *call) bool {
+			parked <- leg{i, fr.b[4], ca}
+			return true
+		}
+	}
+	scan := p.dispatch(scanReq(nil, 1, 3))
+	stats := p.dispatch([]byte{kvstore.OpStats})
+	if n := proxyOpGoroutines(); n != 0 {
+		t.Errorf("%d goroutines wait on a dispatched SCAN and STATS, want 0", n)
+	}
+
+	answer := func(ca *call, payload []byte) {
+		rb := getBuf()
+		*rb = kvstore.AppendFrame((*rb)[:0], payload)
+		ca.complete(rb)
+	}
+	scanLegs := [][]uint64{{1, 3, 5}, {2, 3, 4, 6, 7}} // backend 0 filled its window of 3
+	schemes := []string{"hp", "ebr"}
+	for range 4 {
+		var l leg
+		select {
+		case l = <-parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a SCAN or STATS leg was never submitted")
+		}
+		switch l.op {
+		case kvstore.OpScan:
+			out := kvstore.AppendU32([]byte{kvstore.StatusOK}, uint32(len(scanLegs[l.b])))
+			for _, k := range scanLegs[l.b] {
+				out = kvstore.AppendU64(kvstore.AppendU64(out, k), 10*k)
+			}
+			answer(l.ca, out)
+		case kvstore.OpStats:
+			js, _ := json.Marshal(kvstore.Stats{Scheme: schemes[l.b], Shards: 4, Live: int64(10 + l.b), MaxLive: int64(20 + l.b), Baseline: 3})
+			answer(l.ca, append([]byte{kvstore.StatusOK}, js...))
+		default:
+			t.Fatalf("unexpected op %d submitted", l.op)
+		}
+	}
+
+	<-scan.done
+	if scan.err != nil {
+		t.Fatalf("SCAN: %v", scan.err)
+	}
+	var keys []uint64
+	n, _ := kvstore.PayloadU32(scan.resp, 1)
+	for off := 5; off < 5+16*int(n); off += 16 {
+		k, _ := kvstore.PayloadU64(scan.resp, off)
+		v, _ := kvstore.PayloadU64(scan.resp, off+8)
+		if v != 10*k {
+			t.Errorf("SCAN key %d carries value %d", k, v)
+		}
+		keys = append(keys, k)
+	}
+	if !slices.Equal(keys, []uint64{1, 2, 3}) {
+		t.Errorf("merged SCAN keys = %v, want [1 2 3]", keys)
+	}
+	putCall(scan)
+
+	<-stats.done
+	if stats.err != nil {
+		t.Fatalf("STATS: %v", stats.err)
+	}
+	var st kvstore.Stats
+	if err := json.Unmarshal(stats.resp[1:], &st); err != nil {
+		t.Fatal(err)
+	}
+	want := kvstore.Stats{Scheme: "cluster(hp+ebr)", Shards: 8, Live: 21, MaxLive: 41, Baseline: 6}
+	if st.Scheme != want.Scheme || st.Shards != want.Shards || st.Live != want.Live || st.MaxLive != want.MaxLive || st.Baseline != want.Baseline {
+		t.Errorf("STATS aggregate = %+v, want %+v", st, want)
+	}
+	putCall(stats)
 }

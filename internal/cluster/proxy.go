@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"bufio"
+	"cmp"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -357,13 +357,14 @@ var (
 // dispatch hands one request payload to its handler and returns the
 // call the writer will wait on. Data ops (GET/PUT/DEL) start a pooled
 // state machine inline — zero goroutines, zero allocations on the
-// steady-state path; completions are driven by the backend lane
-// receivers and re-serialized in order by the writer. The remaining
-// verbs (scan/stats/drain/admin) are scatter-gather control ops and
-// keep their per-op goroutine. A budget prefix is stripped here and
-// becomes a proxy-local deadline; handlers forward the remaining
-// budget (minus each backend's observed RTT) and refuse ops whose
-// budget is already spent before submitting anything — the
+// steady-state path — and SCAN/STATS scatter to their backends inline,
+// merging on the last reply; completions are driven by the backend lane
+// receivers and re-serialized in order by the writer. The operator
+// verbs (CLUSTER_INFO, DRAIN, the topology changes) are the slow path
+// and get one goroutine each from admin. A budget prefix is stripped
+// here and becomes a proxy-local deadline; handlers forward the
+// remaining budget (minus each backend's observed RTT) and refuse ops
+// whose budget is already spent before submitting anything — the
 // not-executed contract holds through the proxy.
 func (p *Proxy) dispatch(payload []byte) *call {
 	ca := getCall()
@@ -399,16 +400,11 @@ func (p *Proxy) dispatch(payload []byte) *call {
 			ca.fail(errShortReq)
 			return ca
 		}
-		go p.doScan(from, limit, deadline, ca)
+		p.doScan(from, limit, deadline, ca)
 	case kvstore.OpStats:
-		go p.doStats(ca)
-	case kvstore.OpDrain:
-		go p.doDrain(ca)
-	case kvstore.OpClusterInfo:
-		go p.doInfo(ca)
-	case kvstore.OpClusterAdd, kvstore.OpClusterDrain, kvstore.OpClusterRemove:
-		addr := string(req[1:])
-		go p.doTopo(op, addr, deadline, ca)
+		p.doStats(ca)
+	case kvstore.OpClusterInfo, kvstore.OpDrain, kvstore.OpClusterAdd, kvstore.OpClusterDrain, kvstore.OpClusterRemove:
+		go p.admin(op, string(req[1:]), deadline, ca) // the address is copied before the reader reuses req
 	default:
 		ca.fail(fmt.Errorf("cluster: unknown op %d", req[0]))
 	}
@@ -489,11 +485,10 @@ func scanReq(dst []byte, from uint64, limit uint32) []byte {
 	return kvstore.AppendU32(dst, limit)
 }
 
-// doScan scatters the window to every read-eligible backend and merges.
-// A backend that filled its window bounds how far the merge may trust
-// the union (the horizon): keys past the smallest full-window last key
-// might be missing from that backend's reply, so the merged response is
-// cut there and the client's next page re-covers the rest.
+// doScan scatters the window to every read-eligible backend and
+// merges the replies with mergeScan on whichever lane receiver brings
+// the last one. A failed leg is tolerated; the scan fails only when no
+// backend answered.
 func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call) {
 	// A scan's budget is checked proxy-side only; the backend fan-out
 	// stays unbudgeted because a shed scan source would silently truncate
@@ -503,153 +498,117 @@ func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call) 
 		completeStatus(ca, kvstore.StatusDeadlineExceeded)
 		return
 	}
-	if limit == 0 {
+	respond := func(merged []kv) {
 		buf := getBuf()
 		out, fs := kvstore.BeginFrame((*buf)[:0])
-		*buf = kvstore.EndFrame(kvstore.AppendU32(append(out, kvstore.StatusOK), 0), fs)
+		out = kvstore.AppendU32(append(out, kvstore.StatusOK), uint32(len(merged)))
+		for _, e := range merged {
+			out = kvstore.AppendU64(kvstore.AppendU64(out, e.k), e.v)
+		}
+		*buf = kvstore.EndFrame(out, fs)
 		ca.complete(buf)
+	}
+	if limit == 0 {
+		respond(nil)
 		return
 	}
-	if limit > kvstore.MaxScanLimit {
-		limit = kvstore.MaxScanLimit
-	}
-	t := p.topo.Load()
-	type sres struct {
-		pairs []uint64
-		ok    bool
-	}
+	limit = min(limit, kvstore.MaxScanLimit)
 	var sources []*backend
-	for _, b := range t.backs {
+	for _, b := range p.topo.Load().backs {
 		if b.readEligible() {
 			sources = append(sources, b)
 		}
 	}
-	if len(sources) == 0 {
-		ca.fail(errNoReplica)
-		return
-	}
-	results := make([]sres, len(sources))
-	var wg sync.WaitGroup
 	var req [13]byte
-	reqb := scanReq(req[:0], from, limit)
-	for i, b := range sources {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			rc, err := b.roundTrip(reqb)
-			if err != nil {
-				return
-			}
-			defer putCall(rc)
-			if rc.resp[0] != kvstore.StatusOK {
-				return
-			}
-			nPairs, ok := kvstore.PayloadU32(rc.resp, 1)
-			if !ok {
-				return
-			}
-			pairs := make([]uint64, 0, 2*nPairs)
-			off := 5
-			for j := uint32(0); j < 2*nPairs; j++ {
-				w, ok := kvstore.PayloadU64(rc.resp, off)
-				if !ok {
-					return
-				}
-				pairs = append(pairs, w)
-				off += 8
-			}
-			results[i] = sres{pairs: pairs, ok: true}
-		}(i, b)
-	}
-	wg.Wait()
-	anyOK := false
-	horizon := uint64(1<<64 - 1)
-	type kv struct{ k, v uint64 }
-	var merged []kv
-	for _, r := range results {
-		if !r.ok {
+	scatter(sources, scanReq(req[:0], from, limit), func(legs []*call) {
+		merged, _, failed := mergeScan(legs, limit, nil)
+		if failed == len(legs) {
+			ca.fail(errNoReplica)
+			return
+		}
+		respond(merged)
+	})
+}
+
+// kv is one SCAN pair.
+type kv struct{ k, v uint64 }
+
+// mergeScan merges the SCAN replies in legs, each a window of at most
+// limit pairs, into dst's storage: ascending keys, one pair per key, at
+// most limit pairs. The horizon rule makes the union exact under
+// concurrent churn: a leg that filled its window may be missing keys
+// past its last one, so nothing past the smallest such last key — the
+// horizon — may be trusted. The limit cut enforces it: a full leg
+// alone holds limit distinct keys up to its last one, so the first
+// limit keys of the union never pass the horizon. more reports that
+// keys may remain past the merged window — some leg was full, or the
+// limit cut the union short — and the next window resumes after its
+// last key. A leg that failed, refused, or answered a malformed window
+// counts in failed and contributes nothing.
+func mergeScan(legs []*call, limit uint32, dst []kv) (merged []kv, more bool, failed int) {
+	merged = dst[:0]
+	for _, lc := range legs {
+		var n uint32
+		ok := lc.err == nil && len(lc.resp) > 0 && lc.resp[0] == kvstore.StatusOK
+		if ok {
+			n, ok = kvstore.PayloadU32(lc.resp, 1)
+			ok = ok && uint64(len(lc.resp)-5) >= 16*uint64(n)
+		}
+		if !ok {
+			failed++
 			continue
 		}
-		anyOK = true
-		for j := 0; j+1 < len(r.pairs); j += 2 {
-			merged = append(merged, kv{r.pairs[j], r.pairs[j+1]})
+		for off := 5; off < 5+16*int(n); off += 16 {
+			k, _ := kvstore.PayloadU64(lc.resp, off)
+			v, _ := kvstore.PayloadU64(lc.resp, off+8)
+			merged = append(merged, kv{k, v})
 		}
-		if uint32(len(r.pairs)/2) == limit {
-			if last := r.pairs[len(r.pairs)-2]; last < horizon {
-				horizon = last
-			}
-		}
+		more = more || n == limit
 	}
-	if !anyOK {
-		ca.fail(errNoReplica)
-		return
-	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].k < merged[b].k })
-	buf := getBuf()
-	// Payload layout: [status][count u32][pairs...]; the count is
-	// back-filled once the merge settles.
-	out, fs := kvstore.BeginFrame((*buf)[:0])
-	out = append(out, kvstore.StatusOK, 0, 0, 0, 0)
-	count := uint32(0)
-	var prev uint64
+	slices.SortFunc(merged, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
+	w := 0
 	for _, e := range merged {
-		if e.k > horizon || count == limit {
+		if w > 0 && e.k == merged[w-1].k {
+			continue
+		}
+		if uint32(w) == limit {
+			more = true
 			break
 		}
-		if count > 0 && e.k == prev {
-			continue
-		}
-		out = kvstore.AppendU64(out, e.k)
-		out = kvstore.AppendU64(out, e.v)
-		prev = e.k
-		count++
+		merged[w] = e
+		w++
 	}
-	binary.LittleEndian.PutUint32(out[fs+1:], count)
-	*buf = kvstore.EndFrame(out, fs)
-	ca.complete(buf)
+	return merged[:w], more, failed
 }
 
-// doStats aggregates every reachable backend's STATS into one snapshot.
-// Per-side detail is omitted: the aggregate must fit one response frame
-// regardless of cluster size (per-backend sides live on each backend's
-// own /metrics endpoint).
+// doStats scatters STATS to every backend and aggregates the replies
+// that arrive into one snapshot. Per-side detail is omitted: the
+// aggregate must fit one response frame regardless of cluster size
+// (per-backend sides live on each backend's own /metrics endpoint).
 func (p *Proxy) doStats(ca *call) {
-	t := p.topo.Load()
-	agg := kvstore.Stats{}
-	var schemes []string
-	reached := 0
-	for _, b := range t.backs {
-		rc, err := b.roundTrip([]byte{kvstore.OpStats})
-		if err != nil {
-			continue
+	scatter(p.topo.Load().backs, []byte{kvstore.OpStats}, func(legs []*call) {
+		agg := kvstore.Stats{}
+		var schemes []string
+		for _, lc := range legs {
+			var st kvstore.Stats
+			if lc.err != nil || lc.resp[0] != kvstore.StatusOK || json.Unmarshal(lc.resp[1:], &st) != nil {
+				continue
+			}
+			agg.Shards += st.Shards
+			agg.Live += st.Live
+			agg.MaxLive += st.MaxLive
+			agg.Baseline += st.Baseline
+			schemes = append(schemes, st.Scheme)
 		}
-		var st kvstore.Stats
-		ok := rc.resp[0] == kvstore.StatusOK
-		if ok {
-			ok = json.Unmarshal(rc.resp[1:], &st) == nil
+		if len(schemes) == 0 {
+			ca.fail(errNoReplica)
+			return
 		}
-		putCall(rc)
-		if !ok {
-			continue
-		}
-		reached++
-		agg.Shards += st.Shards
-		agg.Live += st.Live
-		agg.MaxLive += st.MaxLive
-		agg.Baseline += st.Baseline
-		schemes = append(schemes, st.Scheme)
-	}
-	if reached == 0 {
-		ca.fail(errNoReplica)
-		return
-	}
-	agg.Scheme = "cluster(" + strings.Join(schemes, "+") + ")"
-	p.respondJSON(ca, agg)
+		agg.Scheme = "cluster(" + strings.Join(schemes, "+") + ")"
+		p.respondJSON(ca, agg)
+	})
 }
 
-// doDrain fans DRAIN to every backend (quiescent use only, like the
-// single-node op) and merges the reports: sums of the accounting
-// fields, logical AND of the leak verdicts.
 // quiesce waits until the cluster has no internal writers: no topology
 // change pending and no backend mid-resync. DRAIN inherits kvstore's
 // quiescent-use-only contract, and the proxy's own rebalance traffic
@@ -680,31 +639,31 @@ func (p *Proxy) quiesce(timeout time.Duration) error {
 	}
 }
 
-// doDrain inherits kvstore's quiescent-use-only DRAIN contract, and the
-// servers enforce it: OpDrain claims a backend's whole tid pool, so it
-// only proceeds once every other connection to that server — including
-// this proxy's own lanes — is gone. The proxy therefore stops all
+// drain fans DRAIN to every backend and merges the reports: sums of the
+// accounting fields, logical AND of the leak verdicts. It inherits
+// kvstore's quiescent-use-only DRAIN contract, and the servers enforce
+// it: OpDrain claims a backend's whole tid pool, so it only proceeds
+// once every other connection to that server — including this proxy's
+// own lanes — is gone. The proxy therefore stops all
 // lanes, drains each backend over a fresh direct connection, then
 // redials them (bootstrap: the stores are all empty now, so no
 // resync). Client ops that race the drain window fail fast; drain is an
 // operator action, not a data-path verb.
-func (p *Proxy) doDrain(ca *call) {
+func (p *Proxy) drain() (kvstore.DrainReport, error) {
+	agg := kvstore.DrainReport{LeakOK: true}
 	if err := p.quiesce(time.Minute); err != nil {
-		ca.fail(err)
-		return
+		return agg, err
 	}
 	p.tmu.Lock()
 	defer p.tmu.Unlock()
 	if p.next.Load() != nil { // a topology change slipped in after quiesce
-		ca.fail(errors.New("cluster: topology change in progress"))
-		return
+		return agg, errors.New("cluster: topology change in progress")
 	}
 	old := p.topo.Load()
 	for _, b := range old.backs {
 		b.stopAndWait()
 	}
 
-	agg := kvstore.DrainReport{LeakOK: true}
 	var schemes []string
 	drainErr := func() error {
 		for _, b := range old.backs {
@@ -742,13 +701,8 @@ func (p *Proxy) doDrain(ca *call) {
 		nb.start(true)
 	}
 	p.topo.Store(&topology{ring: old.ring, backs: backs})
-
-	if drainErr != nil {
-		ca.fail(drainErr)
-		return
-	}
 	agg.Scheme = "cluster(" + strings.Join(schemes, "+") + ")"
-	p.respondJSON(ca, agg)
+	return agg, drainErr
 }
 
 // NodeInfo is one backend's slice of the Info snapshot.
@@ -788,7 +742,7 @@ func (p *Proxy) Snapshot() Info {
 		backs = append(backs, b)
 	}
 	p.tmu.Unlock()
-	sort.Slice(backs, func(i, j int) bool { return backs[i].addr < backs[j].addr })
+	slices.SortFunc(backs, func(a, b *backend) int { return strings.Compare(a.addr, b.addr) })
 	info := Info{
 		Replicas:        p.replicas(),
 		VNodes:          p.cfg.VNodes,
@@ -817,11 +771,13 @@ func (p *Proxy) Snapshot() Info {
 	return info
 }
 
-func (p *Proxy) doInfo(ca *call) {
-	p.respondJSON(ca, p.Snapshot())
-}
-
-func (p *Proxy) doTopo(op uint8, addr string, deadline time.Time, ca *call) {
+// admin runs an operator verb — CLUSTER_INFO, DRAIN or a topology
+// change — on a goroutine of its own, the proxy's one spawn per op and
+// its documented slow path: DRAIN stops and redials every lane, a
+// topology change walks the whole key space, and both hold the topology
+// lock that CLUSTER_INFO's snapshot takes, so none may run on the
+// connection reader.
+func (p *Proxy) admin(op uint8, addr string, deadline time.Time, ca *call) {
 	// A budget on an admin op becomes the rebalance context's deadline:
 	// AddBackend/DrainBackend/RemoveBackend check it between keys, so a
 	// caller-bounded drain stops copying when the caller gives up.
@@ -831,9 +787,13 @@ func (p *Proxy) doTopo(op uint8, addr string, deadline time.Time, ca *call) {
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	var rep RebalanceReport
+	var rep any
 	var err error
 	switch op {
+	case kvstore.OpClusterInfo:
+		rep = p.Snapshot()
+	case kvstore.OpDrain:
+		rep, err = p.drain()
 	case kvstore.OpClusterAdd:
 		rep, err = p.AddBackend(ctx, addr)
 	case kvstore.OpClusterDrain:

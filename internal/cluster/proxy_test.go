@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -303,6 +304,111 @@ func TestProxyScanPagination(t *testing.T) {
 			t.Fatalf("key %d has value %d", k, v)
 		}
 	}
+}
+
+// scanLeg builds a settled SCAN leg answering keys (value = key+100).
+func scanLeg(keys ...uint64) *call {
+	out := kvstore.AppendU32([]byte{kvstore.StatusOK}, uint32(len(keys)))
+	for _, k := range keys {
+		out = kvstore.AppendU64(kvstore.AppendU64(out, k), k+100)
+	}
+	return &call{resp: out}
+}
+
+// mergeScan's edge cases: the horizon, the limit cut (which must still
+// report more), cross-leg duplicates, and malformed or failed legs.
+func TestMergeScan(t *testing.T) {
+	overrun := scanLeg(9)
+	overrun.resp[1] = 3 // claims three pairs, carries one
+	cases := []struct {
+		name   string
+		limit  uint32
+		legs   []*call
+		want   []uint64
+		more   bool
+		failed int
+	}{
+		{"limit 0", 0, []*call{scanLeg(), scanLeg()}, nil, true, 0},
+		{"short windows", 3, []*call{scanLeg(1), scanLeg(2)}, []uint64{1, 2}, false, 0},
+		{"horizon", 3, []*call{scanLeg(1, 2, 9), scanLeg(3, 4)}, []uint64{1, 2, 3}, true, 0},
+		{"limit cut, no full leg", 3, []*call{scanLeg(1, 3), scanLeg(2, 4)}, []uint64{1, 2, 3}, true, 0},
+		{"duplicates", 4, []*call{scanLeg(1, 3, 5), scanLeg(1, 3, 6)}, []uint64{1, 3, 5, 6}, false, 0},
+		{"pair count overruns payload", 3, []*call{overrun, scanLeg(7)}, []uint64{7}, false, 1},
+		{"refused leg", 3, []*call{{resp: []byte{kvstore.StatusOverloaded}}, scanLeg(7)}, []uint64{7}, false, 1},
+		{"every leg failed", 3, []*call{{err: errBackendDown}, {err: errBackendDown}}, nil, false, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			merged, more, failed := mergeScan(tc.legs, tc.limit, nil)
+			var keys []uint64
+			for _, e := range merged {
+				if e.v != e.k+100 {
+					t.Errorf("key %d carries value %d", e.k, e.v)
+				}
+				keys = append(keys, e.k)
+			}
+			if !slices.Equal(keys, tc.want) || more != tc.more || failed != tc.failed {
+				t.Errorf("mergeScan = %v, more %v, failed %d; want %v, more %v, failed %d",
+					keys, more, failed, tc.want, tc.more, tc.failed)
+			}
+		})
+	}
+}
+
+// The rebalance walk crosses windows even when no source fills one:
+// two sources of 600 keys each make a 1 200-key union that the merge
+// cuts at MaxScanLimit, and the walk must resume after the cut rather
+// than stop there.
+func TestForEachKeyResumesAfterLimitCut(t *testing.T) {
+	p := stubProxy(2)
+	backs := p.topo.Load().backs
+	for i, b := range backs {
+		b.testSubmit = func(fr *wireBuf, ca *call) bool {
+			from, _ := kvstore.PayloadU64(fr.b[4:], 1)
+			limit, _ := kvstore.PayloadU32(fr.b[4:], 9)
+			var keys []uint64
+			for k := uint64(i + 1); k <= 1200 && uint32(len(keys)) < limit; k += 2 {
+				if k >= from {
+					keys = append(keys, k)
+				}
+			}
+			out := kvstore.AppendU32([]byte{kvstore.StatusOK}, uint32(len(keys)))
+			for _, k := range keys {
+				out = kvstore.AppendU64(kvstore.AppendU64(out, k), k)
+			}
+			rb := getBuf()
+			*rb = kvstore.AppendFrame((*rb)[:0], out)
+			ca.complete(rb)
+			return true
+		}
+	}
+	var visited []uint64
+	if err := p.forEachKey(backs, func(k uint64) error {
+		visited = append(visited, k)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(visited) != 1200 || !slices.IsSorted(visited) || visited[0] != 1 || visited[1199] != 1200 {
+		t.Fatalf("walk visited %d keys (first %v), want 1..1200 once each", len(visited), visited[:min(len(visited), 4)])
+	}
+}
+
+// A SCAN of limit 0 answers StatusOK with zero pairs and never reaches
+// a backend.
+func TestProxyScanLimitZero(t *testing.T) {
+	p := stubProxy(2)
+	for _, b := range p.topo.Load().backs {
+		b.testSubmit = func(*wireBuf, *call) bool {
+			t.Error("a limit-0 SCAN reached a backend")
+			return false
+		}
+	}
+	ca := runOp(p, scanReq(nil, 1, 0))
+	if ca.err != nil || !slices.Equal(ca.resp, []byte{kvstore.StatusOK, 0, 0, 0, 0}) {
+		t.Fatalf("limit-0 SCAN = %v, %v", ca.resp, ca.err)
+	}
+	putCall(ca)
 }
 
 // Live topology changes: a joined node syncs its share before entering

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/kvstore"
@@ -76,108 +75,41 @@ func (p *Proxy) authoritativeGet(k uint64) (uint64, bool, error) {
 }
 
 // forEachKey enumerates the union of the sources' key spaces in
-// ascending order via resumable SCAN windows. The horizon rule makes
-// the merge exact under concurrent churn: when a source fills its
-// window, keys beyond its last returned key may be missing from that
-// reply, so only keys up to the smallest such last key are visited this
-// round and the cursor resumes just past it.
+// ascending order via resumable SCAN windows: each window is scattered
+// to every source and merged with mergeScan's horizon rule, and the
+// cursor resumes just past the last key visited. fn runs on the
+// caller's goroutine (copyKeyTo blocks), never on a lane receiver. A
+// source that fails its window fails the walk: a key only it holds
+// would be skipped.
 func (p *Proxy) forEachKey(sources []*backend, fn func(k uint64) error) error {
 	if len(sources) == 0 {
 		return errNoReplica
 	}
-	cursor := kvstore.MinKey
-	var reqb [13]byte
-	keys := make([]uint64, 0, 4096)
-	type sres struct {
-		keys []uint64
-		full bool
-		ok   bool
-	}
-	results := make([]sres, len(sources))
-	for {
-		req := scanReq(reqb[:0], cursor, kvstore.MaxScanLimit)
-		var wg sync.WaitGroup
-		for i, b := range sources {
-			wg.Add(1)
-			go func(i int, b *backend) {
-				defer wg.Done()
-				results[i] = sres{}
-				rc, err := b.roundTrip(req)
-				if err != nil {
-					return
-				}
-				defer putCall(rc)
-				if rc.resp[0] != kvstore.StatusOK {
-					return
-				}
-				n, ok := kvstore.PayloadU32(rc.resp, 1)
-				if !ok {
-					return
-				}
-				ks := make([]uint64, 0, n)
-				off := 5
-				for j := uint32(0); j < n; j++ {
-					k, ok := kvstore.PayloadU64(rc.resp, off)
-					if !ok {
-						return
-					}
-					ks = append(ks, k)
-					off += 16
-				}
-				results[i] = sres{keys: ks, full: n == kvstore.MaxScanLimit, ok: true}
-			}(i, b)
+	var (
+		reqb   [13]byte
+		keys   []kv
+		more   bool
+		failed int
+	)
+	settled := make(chan struct{}, 1)
+	for cursor := kvstore.MinKey; ; {
+		scatter(sources, scanReq(reqb[:0], cursor, kvstore.MaxScanLimit), func(legs []*call) {
+			keys, more, failed = mergeScan(legs, kvstore.MaxScanLimit, keys)
+			settled <- struct{}{}
+		})
+		<-settled
+		if failed > 0 {
+			return errors.New("cluster: rebalance scan lost a source")
 		}
-		wg.Wait()
-		horizon := uint64(1<<64 - 1)
-		anyOK, anyFull := false, false
-		keys = keys[:0]
-		for _, r := range results {
-			if !r.ok {
-				return errors.New("cluster: rebalance scan lost a source")
-			}
-			anyOK = true
-			keys = append(keys, r.keys...)
-			if r.full {
-				anyFull = true
-				if last := r.keys[len(r.keys)-1]; last < horizon {
-					horizon = last
-				}
-			}
-		}
-		if !anyOK {
-			return errNoReplica
-		}
-		sortU64(keys)
-		var prev uint64
-		seen := false
-		for _, k := range keys {
-			if anyFull && k > horizon {
-				break
-			}
-			if seen && k == prev {
-				continue
-			}
-			seen, prev = true, k
-			if err := fn(k); err != nil {
+		for _, e := range keys {
+			if err := fn(e.k); err != nil {
 				return err
 			}
 		}
-		if !anyFull || horizon >= kvstore.MaxKey {
+		if !more || keys[len(keys)-1].k >= kvstore.MaxKey {
 			return nil
 		}
-		cursor = horizon + 1
-	}
-}
-
-func sortU64(a []uint64) {
-	// Small shell sort: the slices are at most a few windows long and
-	// mostly presorted (per-source runs).
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			for j := i; j >= gap && a[j-gap] > a[j]; j -= gap {
-				a[j-gap], a[j] = a[j], a[j-gap]
-			}
-		}
+		cursor = keys[len(keys)-1].k + 1
 	}
 }
 
