@@ -50,7 +50,7 @@ race-peek:
 # return to its goroutine baseline, and a client burst must reach each
 # backend batched (lane_frames / lane_writes ≥ 4).
 cluster-guards:
-	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyScanStatsNoGoroutine|TestProxyGoroutineBaseline|TestProxyBurstBatching' -count=1 -v
+	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyScanStatsNoGoroutine|TestProxyGoroutineBaseline|TestProxyBurstBatching|TestProxyOneGoroutinePerConn|TestProxySlowClientStallsOnlyItself|TestProxyBurstAnswersInRequestOrder' -count=1 -v
 
 # The repo's one measurement system: four workloads (ds-churn, ds-read,
 # kv-mixed, proxy-read) x five subjects, the end-to-end metrics with

@@ -1,7 +1,7 @@
-// kvload drives a kvserver with an open-loop mixed workload and reports
-// throughput plus an HDR-style latency distribution.
+// kvload drives a kvserver with a closed-loop mixed workload and
+// reports throughput plus an HDR-style latency distribution.
 //
-//	kvload -addr 127.0.0.1:7070 -conns 8 -rate 20000 -duration 5s \
+//	kvload -addr 127.0.0.1:7070 -conns 8 -pipeline 16 -duration 5s \
 //	       -dist zipfian -theta 0.99 -keys 100000 -mix get=50,put=45,del=4,scan=1
 //	kvload -conns 16 -budget 250ms     # per-op wire execution budget
 //
@@ -11,12 +11,8 @@
 // the shed/expired columns instead of as an error, and refusals never
 // pollute the latency distribution.
 //
-// With -rate > 0 each connection paces sends on its own schedule and
-// latency is measured from the *scheduled* send time, so queueing delay
-// from a slow server is charged to the server (no coordinated
-// omission). With -rate 0 the generator runs closed-loop: each
-// connection keeps -pipeline requests in flight and latency is measured
-// from the actual send.
+// Each connection keeps -pipeline requests in flight, and latency is
+// measured from the send.
 //
 // The run ends in one summary line on stdout, led by the server's
 // scheme (fetched via STATS). Every connection records into one shared
@@ -75,11 +71,10 @@ func parseMix(s string) (mix, error) {
 type keyGen interface{ next() uint64 }
 
 // inflight rides the pipeline between sender and receiver halves of one
-// connection: which Recv* to call and when the op was (scheduled to be)
-// sent.
+// connection: which Recv* to call and when the op was sent.
 type inflight struct {
-	op    uint8
-	sched time.Time
+	op   uint8
+	sent time.Time
 }
 
 type connResult struct {
@@ -95,7 +90,7 @@ type connResult struct {
 // connection.
 func runConn(addr string, opts []kvstore.Option, hist *obs.Hist, seed int64, deadline time.Time, warmupUntil time.Time,
 	m mix, dist string, theta float64, keys uint64, scanLen uint32,
-	interval time.Duration, pipeline int, budget time.Duration) (connResult, error) {
+	pipeline int, budget time.Duration) (connResult, error) {
 
 	cl, err := kvstore.Dial(addr, opts...)
 	if err != nil {
@@ -150,12 +145,13 @@ func runConn(addr string, opts []kvstore.Option, hist *obs.Hist, seed int64, dea
 			}
 			res.ops++
 			if now := time.Now(); now.After(warmupUntil) {
-				hist.Observe(uint64(now.Sub(f.sched)))
+				hist.Observe(uint64(now.Sub(f.sent)))
 			}
 		}
 	}()
 
-	send := func(sched time.Time) {
+	send := func() {
+		now := time.Now()
 		k := gen.next()
 		p := r.Intn(100)
 		var op uint8
@@ -165,7 +161,7 @@ func runConn(addr string, opts []kvstore.Option, hist *obs.Hist, seed int64, dea
 			cl.SendGetBudget(k, budget)
 		case p < m.put:
 			op = kvstore.OpPut
-			cl.SendPutBudget(k, k^uint64(sched.UnixNano()), budget)
+			cl.SendPutBudget(k, k^uint64(now.UnixNano()), budget)
 		case p < m.del:
 			op = kvstore.OpDel
 			cl.SendDelBudget(k, budget)
@@ -173,47 +169,23 @@ func runConn(addr string, opts []kvstore.Option, hist *obs.Hist, seed int64, dea
 			op = kvstore.OpScan
 			cl.SendScanBudget(k, scanLen, budget)
 		}
-		queue <- inflight{op: op, sched: sched}
+		queue <- inflight{op: op, sent: now}
 	}
 
-	if interval > 0 {
-		// Open loop: send on the schedule regardless of responses;
-		// flush in small batches to amortize syscalls.
-		next := time.Now()
-		unflushed := 0
-		for time.Now().Before(deadline) && !failed.Load() {
-			now := time.Now()
-			if now.Before(next) {
-				if unflushed > 0 {
-					cl.Flush()
-					unflushed = 0
-				}
-				time.Sleep(next.Sub(now))
-			}
-			send(next) // latency clock starts at the scheduled time
-			unflushed++
-			if unflushed >= 16 {
-				cl.Flush()
-				unflushed = 0
-			}
-			next = next.Add(interval)
+	// Keep `pipeline` requests in flight.
+	sent := 0
+	for time.Now().Before(deadline) && !failed.Load() {
+		for sent < pipeline {
+			send()
+			sent++
 		}
-	} else {
-		// Closed loop: keep `pipeline` requests in flight.
-		sent := 0
-		for time.Now().Before(deadline) && !failed.Load() {
-			for sent < pipeline {
-				send(time.Now())
-				sent++
-			}
-			cl.Flush()
-			// Wait for the queue to drain below the window before
-			// refilling: receiver consumes as responses arrive.
-			for len(queue) >= pipeline && !failed.Load() {
-				time.Sleep(50 * time.Microsecond)
-			}
-			sent = len(queue)
+		cl.Flush()
+		// Wait for the queue to drain below the window before
+		// refilling: receiver consumes as responses arrive.
+		for len(queue) >= pipeline && !failed.Load() {
+			time.Sleep(50 * time.Microsecond)
 		}
+		sent = len(queue)
 	}
 	cl.CloseWrite()
 	close(queue)
@@ -224,8 +196,7 @@ func runConn(addr string, opts []kvstore.Option, hist *obs.Hist, seed int64, dea
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "server address, or a comma-separated list round-robined across -conns")
 	conns := flag.Int("conns", 8, "concurrent connections")
-	rate := flag.Float64("rate", 0, "total target ops/sec across all conns (0 = closed loop)")
-	pipeline := flag.Int("pipeline", 16, "closed-loop in-flight requests per conn")
+	pipeline := flag.Int("pipeline", 16, "in-flight requests per conn")
 	duration := flag.Duration("duration", 5*time.Second, "measured run length")
 	warmup := flag.Duration("warmup", time.Second, "lead-in whose latencies are discarded")
 	dist := flag.String("dist", "zipfian", "key distribution: zipfian|uniform")
@@ -299,10 +270,6 @@ func main() {
 	// show how many reads the hedge actually rescued.
 	info0, isProxy := clusterInfo(ctl)
 
-	var interval time.Duration
-	if *rate > 0 {
-		interval = time.Duration(float64(*conns) / *rate * float64(time.Second))
-	}
 	warmupUntil := time.Now().Add(*warmup)
 	deadline := warmupUntil.Add(*duration)
 
@@ -315,7 +282,7 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			results[i], errs[i] = runConn(addrs[i%len(addrs)], opts, &hist, *seed+int64(i)*7919, deadline, warmupUntil,
-				m, *dist, *theta, *keys, uint32(*scanLen), interval, *pipeline, *budget)
+				m, *dist, *theta, *keys, uint32(*scanLen), *pipeline, *budget)
 		}(i)
 	}
 	wg.Wait()

@@ -44,29 +44,26 @@ var (
 	errNoReplica   = errors.New("cluster: no live replica")
 )
 
-// call is one request in flight to a backend (and, reused on the other
-// side, one client-facing response slot).
+// call is one request in flight to a backend, or one client-facing
+// response slot.
 //
-// A call settles in one of two ways. A *blocking* call (cont nil)
-// carries exactly one done token per cycle: the completer sends, the
-// collector receives, and only then may the call return to the pool. A
-// *continuation* call belongs to a pooled op (getOp, writeOp or a
-// scatter): the completer — usually a lane receiver — invokes the op's
-// backendDone directly instead of waking a parked goroutine, which is
-// what makes a proxied op goroutine-free.
+// A call settles one way: the completer — a lane receiver, a hedge
+// timer, a failed submit, or the op that answers a client — invokes
+// the owner's backendDone directly. The owner is a pooled op (getOp,
+// writeOp or a scatter) for a backend call and the connection's burst
+// for a client call, so no goroutine ever parks on one call.
 //
 // respBuf always holds a complete response *frame* (4-byte length
-// prefix included) so the client-facing writer can forward it verbatim;
+// prefix included) so the connection reader can forward it verbatim;
 // resp is the payload view into it, status byte first.
 type call struct {
-	done    chan struct{}
 	resp    []byte  // response payload, status byte first; aliases respBuf[4:]
 	respBuf *[]byte // pooled framed backing storage, recycled by putCall
 	err     error
 	start   time.Time
 	state   atomic.Int32
 
-	// Continuation routing: cont is the owning op, srcB the backend the
+	// Continuation routing: cont is the owner, srcB the backend the
 	// call was submitted to (for demotion on failure) and isHedge tags
 	// the speculative copy of a hedged read.
 	cont    interface{ backendDone(*call) }
@@ -79,10 +76,13 @@ const (
 	callSettled              // completer delivered
 )
 
-var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+var callPool = sync.Pool{New: func() any { return &call{} }}
 
-func getCall() *call {
+// getCall takes a call from the pool for the owner whose backendDone
+// will settle it.
+func getCall(owner interface{ backendDone(*call) }) *call {
 	ca := callPool.Get().(*call)
+	ca.cont = owner
 	ca.resp, ca.err = nil, nil
 	ca.start = time.Now()
 	ca.state.Store(callLive)
@@ -101,20 +101,16 @@ func putCall(ca *call) {
 }
 
 // complete fulfils a call with a pooled framed response buffer
-// (ownership transfers to the call), then either runs the owning op's
-// continuation inline or wakes the blocked collector. The continuation
-// is the last thing that happens here: it may recycle ca.
+// (ownership transfers to the call), then runs its owner's
+// continuation inline. The continuation is the last thing that happens
+// here: it may recycle ca.
 func (ca *call) complete(respBuf *[]byte) {
 	if ca.state.CompareAndSwap(callLive, callSettled) {
 		ca.respBuf = respBuf
 		if respBuf != nil {
 			ca.resp = (*respBuf)[4:]
 		}
-		if ca.cont != nil {
-			ca.cont.backendDone(ca)
-			return
-		}
-		ca.done <- struct{}{}
+		ca.cont.backendDone(ca)
 		return
 	}
 	if respBuf != nil {
@@ -126,11 +122,7 @@ func (ca *call) complete(respBuf *[]byte) {
 func (ca *call) fail(err error) {
 	if ca.state.CompareAndSwap(callLive, callSettled) {
 		ca.err = err
-		if ca.cont != nil {
-			ca.cont.backendDone(ca)
-			return
-		}
-		ca.done <- struct{}{}
+		ca.cont.backendDone(ca)
 		return
 	}
 	putCall(ca)
@@ -346,7 +338,7 @@ func (c *conn) kill() {
 }
 
 // recvLoop pairs responses with pending calls, capturing each response
-// as a whole frame (prefix included) so the client-facing writer can
+// as a whole frame (prefix included) so the connection reader can
 // forward it without re-encoding. Completing a call runs its op
 // continuation inline on this goroutine — the hot path's only
 // goroutines are the lane receivers that already exist. On a read
@@ -588,25 +580,18 @@ func (b *backend) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
 }
 
 // roundTrip is the blocking helper rebalancing's single-key reads,
-// copies and deletes use. The returned call owns the response; the
-// caller must putCall it after consuming resp.
-func (b *backend) roundTrip(req []byte) (*call, error) {
-	fr := getWire()
-	fr.b = kvstore.AppendFrame(fr.b, req)
-	ca := getCall()
-	ok := b.submit(fr, ca)
-	fr.unref()
-	if !ok {
-		putCall(ca)
-		return nil, errBackendDown
-	}
-	<-ca.done
-	if ca.err != nil {
-		err := ca.err
-		putCall(ca)
-		return nil, err
-	}
-	return ca, nil
+// copies and deletes use: a one-leg scatter whose reply payload, status
+// byte first, is appended to dst.
+func (b *backend) roundTrip(req, dst []byte) ([]byte, error) {
+	settled := make(chan error, 1)
+	scatter([]*backend{b}, req, func(legs []*call) {
+		if legs[0].err == nil {
+			dst = append(dst, legs[0].resp...)
+		}
+		settled <- legs[0].err
+	})
+	err := <-settled
+	return dst, err
 }
 
 // fanOut is one scatter in flight: a leg per source plus a setup hold,
@@ -630,8 +615,7 @@ func scatter(sources []*backend, req []byte, done func(legs []*call)) {
 	fr := getWire()
 	fr.b = kvstore.AppendFrame(fr.b, req)
 	for i, b := range sources {
-		lc := getCall()
-		lc.cont = f
+		lc := getCall(f)
 		f.legs[i] = lc
 		if !b.submit(fr, lc) {
 			lc.fail(errBackendDown)

@@ -133,8 +133,7 @@ func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call) {
 // the call holds a reference on the op until its completion handler —
 // or the failed-submit path — releases it.
 func (op *getOp) newCall(b *backend, hedge bool) *call {
-	bc := getCall()
-	bc.cont = op
+	bc := getCall(op)
 	bc.srcB = b
 	bc.isHedge = hedge
 	op.refs.Add(1)
@@ -464,8 +463,7 @@ func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call)
 	stripe.Lock()
 	set, elig := p.writeSet(key, bbuf[:0], hbuf[:0])
 	for i, b := range set {
-		bc := getCall()
-		bc.cont = op
+		bc := getCall(op)
 		bc.srcB = b
 		n := op.n
 		op.calls[n], op.backs[n], op.healthy[n] = bc, b, elig[i]

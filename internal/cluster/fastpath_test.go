@@ -43,9 +43,19 @@ func stubProxy(nback int) *Proxy {
 	return p
 }
 
-func runOp(p *Proxy, req []byte) *call {
-	ca := p.dispatch(req)
-	<-ca.done
+// waiter owns a test's client calls in place of a connection's burst:
+// each settle sends one token. A channel fits in an interface without
+// allocating, so one waiter serves every op of the allocation guard.
+type waiter chan struct{}
+
+func (w waiter) backendDone(*call) { w <- struct{}{} }
+
+// runOp dispatches req on a fresh call owned by w and waits for it to
+// settle. The caller putCalls the result.
+func runOp(p *Proxy, w waiter, req []byte) *call {
+	ca := getCall(w)
+	p.dispatch(req, ca)
+	<-w
 	return ca
 }
 
@@ -58,23 +68,24 @@ func TestProxySteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race pass")
 	}
 	p := stubProxy(3)
+	w := make(waiter, 1)
 	getReq := kvstore.AppendU64([]byte{kvstore.OpGet}, 7)
 	putReq := kvstore.AppendU64(kvstore.AppendU64([]byte{kvstore.OpPut}, 7), 70)
 
 	// Warm every pool (calls, ops, wire frames, response buffers) before
 	// measuring; pool misses on the first iterations are expected.
 	for i := 0; i < 64; i++ {
-		putCall(runOp(p, getReq))
-		putCall(runOp(p, putReq))
+		putCall(runOp(p, w, getReq))
+		putCall(runOp(p, w, putReq))
 	}
 
 	if n := testing.AllocsPerRun(2000, func() {
-		putCall(runOp(p, getReq))
+		putCall(runOp(p, w, getReq))
 	}); n != 0 {
 		t.Errorf("steady-state proxied GET allocates %.3f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(2000, func() {
-		putCall(runOp(p, putReq))
+		putCall(runOp(p, w, putReq))
 	}); n != 0 {
 		t.Errorf("steady-state proxied PUT allocates %.3f objects/op, want 0", n)
 	}
@@ -85,9 +96,10 @@ func TestProxySteadyStateAllocs(t *testing.T) {
 // routed and pooled correctly.
 func TestProxySteadyStateResults(t *testing.T) {
 	p := stubProxy(3)
+	w := make(waiter, 1)
 	getReq := kvstore.AppendU64([]byte{kvstore.OpGet}, 7)
 	for i := 0; i < 100; i++ {
-		ca := runOp(p, getReq)
+		ca := runOp(p, w, getReq)
 		if ca.err != nil {
 			t.Fatalf("stubbed GET err: %v", ca.err)
 		}
@@ -241,8 +253,10 @@ func TestProxyScanStatsNoGoroutine(t *testing.T) {
 			return true
 		}
 	}
-	scan := p.dispatch(scanReq(nil, 1, 3))
-	stats := p.dispatch([]byte{kvstore.OpStats})
+	scanW, statsW := make(waiter, 1), make(waiter, 1)
+	scan, stats := getCall(scanW), getCall(statsW)
+	p.dispatch(scanReq(nil, 1, 3), scan)
+	p.dispatch([]byte{kvstore.OpStats}, stats)
 	if n := proxyOpGoroutines(); n != 0 {
 		t.Errorf("%d goroutines wait on a dispatched SCAN and STATS, want 0", n)
 	}
@@ -276,7 +290,7 @@ func TestProxyScanStatsNoGoroutine(t *testing.T) {
 		}
 	}
 
-	<-scan.done
+	<-scanW
 	if scan.err != nil {
 		t.Fatalf("SCAN: %v", scan.err)
 	}
@@ -295,7 +309,7 @@ func TestProxyScanStatsNoGoroutine(t *testing.T) {
 	}
 	putCall(scan)
 
-	<-stats.done
+	<-statsW
 	if stats.err != nil {
 		t.Fatalf("STATS: %v", stats.err)
 	}

@@ -247,11 +247,16 @@ func (p *Proxy) Shutdown() {
 	}
 }
 
-// handle is the per-client-connection loop: the reader parses frames
-// and starts each op inline (data ops run as pooled state machines —
-// no goroutine per op); the writer streams the responses back strictly
-// in request order (the protocol's pipelining contract), gathering a
-// burst of completed responses into one writev.
+// handle is the per-client-connection loop, one goroutine per
+// connection like kvserver's. It dispatches every whole frame already
+// in the read buffer, up to Depth, as one burst — data ops run as
+// pooled state machines, so nothing here spawns — then parks once
+// until the burst's last call settles, writes the responses in request
+// order (the protocol's pipelining contract) with one writev, and
+// reads again. Lane receivers settle the calls but never touch the
+// client socket, so a client that stops reading stalls only its own
+// reader. A read error ends the loop once the burst in hand is
+// answered.
 func (p *Proxy) handle(c net.Conn) {
 	defer p.wg.Done()
 	defer func() {
@@ -260,93 +265,69 @@ func (p *Proxy) handle(c net.Conn) {
 		p.cmu.Unlock()
 		c.Close()
 	}()
-	order := make(chan *call, p.cfg.Depth)
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go p.writeLoop(c, order, &wwg)
 	br := bufio.NewReaderSize(c, 64<<10)
-	var req []byte
-	for {
-		payload, err := kvstore.ReadFrame(br, req)
-		if err != nil {
-			break
+	bu := &burst{wake: make(chan struct{}, 1)}
+	var (
+		req  []byte
+		bufs net.Buffers
+		err  error
+	)
+	for err == nil {
+		bu.outstanding.Store(1) // the reader's hold: no wake while dispatching
+		for len(bu.calls) < p.cfg.Depth {
+			var payload []byte
+			if payload, err = kvstore.ReadFrame(br, req); err != nil {
+				break
+			}
+			req = payload
+			ca := getCall(bu)
+			bu.outstanding.Add(1)
+			bu.calls = append(bu.calls, ca)
+			p.dispatch(payload, ca)
+			if !kvstore.FrameBuffered(br) {
+				break
+			}
 		}
-		req = payload
-		order <- p.dispatch(payload)
+		if bu.outstanding.Add(-1) != 0 {
+			<-bu.wake
+		}
+		for _, ca := range bu.calls {
+			if ca.err != nil {
+				eb := getBuf()
+				out, fs := kvstore.BeginFrame((*eb)[:0])
+				*eb = kvstore.ErrFrame(out, fs, ca.err.Error())
+				ca.respBuf = eb
+			}
+			bufs = append(bufs, *ca.respBuf)
+		}
+		if len(bufs) > 0 {
+			w := bufs // WriteTo consumes its slice; keep ours for reuse
+			if _, werr := w.WriteTo(c); werr != nil {
+				err = werr // the client cannot receive; stop reading for it
+			}
+		}
+		for i, ca := range bu.calls {
+			putCall(ca)
+			bu.calls[i], bufs[i] = nil, nil
+		}
+		bu.calls, bufs = bu.calls[:0], bufs[:0]
 	}
-	close(order)
-	wwg.Wait()
 }
 
-// writeLoop is the client-facing response writer. Responses arrive as
-// complete pooled frames (the backend receive path captures the length
-// prefix too), so the writer never re-encodes: it collects the head
-// call's frame plus every already-completed successor — bounded by
-// maxWriteBatch — into one net.Buffers writev. A successor pulled from
-// order but not yet done flushes the ready batch first, then becomes
-// the next head; the syscall count tracks bursts, not ops.
-func (p *Proxy) writeLoop(c net.Conn, order <-chan *call, wwg *sync.WaitGroup) {
-	defer wwg.Done()
-	const maxWriteBatch = 64
-	var (
-		bufs   net.Buffers
-		owners []*call
-		broken bool
-	)
-	appendCa := func(ca *call) { // ca.done already consumed
-		if ca.err != nil {
-			eb := getBuf()
-			out, fs := kvstore.BeginFrame((*eb)[:0])
-			*eb = kvstore.ErrFrame(out, fs, ca.err.Error())
-			ca.respBuf = eb
-		}
-		bufs = append(bufs, *ca.respBuf)
-		owners = append(owners, ca)
+// burst is one client connection's dispatched calls, in request order.
+// outstanding counts the unsettled calls plus the reader's hold while
+// it dispatches; whichever settler retires the last count wakes the
+// reader, so a burst costs the reader one park.
+type burst struct {
+	calls       []*call
+	outstanding atomic.Int32
+	wake        chan struct{} // cap 1: one send per burst
+}
+
+func (bu *burst) backendDone(*call) {
+	if bu.outstanding.Add(-1) == 0 {
+		bu.wake <- struct{}{}
 	}
-	flush := func() {
-		if len(owners) == 0 {
-			return
-		}
-		if !broken {
-			b := bufs // WriteTo consumes its slice; keep ours for recycling
-			if _, err := b.WriteTo(c); err != nil {
-				broken = true // keep collecting so ops never leak
-			}
-		}
-		for i, ca := range owners {
-			putCall(ca)
-			owners[i] = nil
-			bufs[i] = nil
-		}
-		owners, bufs = owners[:0], bufs[:0]
-	}
-	for ca := range order {
-		<-ca.done
-		appendCa(ca)
-	gather:
-		for len(owners) < maxWriteBatch {
-			var nca *call
-			select {
-			case nc, ok := <-order:
-				if !ok {
-					flush()
-					return
-				}
-				nca = nc
-			default:
-				break gather
-			}
-			select {
-			case <-nca.done:
-			default:
-				flush() // write what is ready before parking on the next head
-				<-nca.done
-			}
-			appendCa(nca)
-		}
-		flush()
-	}
-	flush()
 }
 
 var (
@@ -354,25 +335,24 @@ var (
 	errBusy     = errors.New("cluster: topology change already in progress")
 )
 
-// dispatch hands one request payload to its handler and returns the
-// call the writer will wait on. Data ops (GET/PUT/DEL) start a pooled
-// state machine inline — zero goroutines, zero allocations on the
-// steady-state path — and SCAN/STATS scatter to their backends inline,
-// merging on the last reply; completions are driven by the backend lane
-// receivers and re-serialized in order by the writer. The operator
-// verbs (CLUSTER_INFO, DRAIN, the topology changes) are the slow path
-// and get one goroutine each from admin. A budget prefix is stripped
-// here and becomes a proxy-local deadline; handlers forward the
-// remaining budget (minus each backend's observed RTT) and refuse ops
-// whose budget is already spent before submitting anything — the
-// not-executed contract holds through the proxy.
-func (p *Proxy) dispatch(payload []byte) *call {
-	ca := getCall()
+// dispatch starts one request payload on the client call ca, which
+// settles through its owner's backendDone. Data ops (GET/PUT/DEL)
+// start a pooled state machine inline — zero goroutines, zero
+// allocations on the steady-state path — and SCAN/STATS scatter to
+// their backends inline, merging on the last reply; the lane receivers
+// drive the completions. The operator verbs (CLUSTER_INFO, DRAIN, the
+// topology changes) are the slow path and get one goroutine each from
+// admin. A budget prefix is stripped here and becomes a proxy-local
+// deadline; handlers forward the remaining budget (minus each backend's
+// observed RTT) and refuse ops whose budget is already spent before
+// submitting anything — the not-executed contract holds through the
+// proxy.
+func (p *Proxy) dispatch(payload []byte, ca *call) {
 	p.routed.Add(1)
 	req, budget, okb := kvstore.SplitBudget(payload)
 	if !okb {
 		ca.fail(errShortReq)
-		return ca
+		return
 	}
 	var deadline time.Time
 	if budget > 0 {
@@ -383,14 +363,14 @@ func (p *Proxy) dispatch(payload []byte) *call {
 		key, ok := kvstore.PayloadU64(req, 1)
 		if !ok {
 			ca.fail(errShortReq)
-			return ca
+			return
 		}
 		p.startGet(req, key, deadline, ca)
 	case kvstore.OpPut, kvstore.OpDel:
 		key, ok := kvstore.PayloadU64(req, 1)
 		if !ok {
 			ca.fail(errShortReq)
-			return ca
+			return
 		}
 		p.startWrite(req, key, deadline, ca)
 	case kvstore.OpScan:
@@ -398,7 +378,7 @@ func (p *Proxy) dispatch(payload []byte) *call {
 		limit, ok2 := kvstore.PayloadU32(req, 9)
 		if !ok1 || !ok2 {
 			ca.fail(errShortReq)
-			return ca
+			return
 		}
 		p.doScan(from, limit, deadline, ca)
 	case kvstore.OpStats:
@@ -408,7 +388,6 @@ func (p *Proxy) dispatch(payload []byte) *call {
 	default:
 		ca.fail(fmt.Errorf("cluster: unknown op %d", req[0]))
 	}
-	return ca
 }
 
 // completeStatus finishes a client call with a bare status frame — the
@@ -428,12 +407,12 @@ func isShedStatus(resp []byte) bool {
 func (p *Proxy) replicas() int { return p.cfg.Replicas }
 
 // transfer moves a backend response into the client-facing call
-// (buffer ownership included) and completes it.
+// (buffer ownership included) and settles it through its owner.
 func transfer(src, dst *call) {
 	dst.respBuf, dst.resp = src.respBuf, src.resp
 	src.respBuf, src.resp = nil, nil
 	putCall(src)
-	dst.done <- struct{}{}
+	dst.cont.backendDone(dst)
 }
 
 // readSet appends the read-eligible replicas of key, preference order.

@@ -404,7 +404,7 @@ func TestProxyScanLimitZero(t *testing.T) {
 			return false
 		}
 	}
-	ca := runOp(p, scanReq(nil, 1, 0))
+	ca := runOp(p, make(waiter, 1), scanReq(nil, 1, 0))
 	if ca.err != nil || !slices.Equal(ca.resp, []byte{kvstore.StatusOK, 0, 0, 0, 0}) {
 		t.Fatalf("limit-0 SCAN = %v, %v", ca.resp, ca.err)
 	}

@@ -48,26 +48,24 @@ func (p *Proxy) authoritativeGet(k uint64) (uint64, bool, error) {
 	var idbuf [maxReplicas]int32
 	var req [9]byte
 	reqb := getReqB(req[:0], k)
+	var resp [9]byte
 	for _, id := range t.ring.Lookup(k, p.replicas(), idbuf[:0]) {
 		b := t.backs[id]
 		if !b.readEligible() {
 			continue
 		}
-		rc, err := b.roundTrip(reqb)
+		r, err := b.roundTrip(reqb, resp[:0])
 		if err != nil {
 			continue
 		}
-		status := rc.resp[0]
-		if status == kvstore.StatusOK {
-			v, ok := kvstore.PayloadU64(rc.resp, 1)
-			putCall(rc)
+		switch r[0] {
+		case kvstore.StatusOK:
+			v, ok := kvstore.PayloadU64(r, 1)
 			if !ok {
 				return 0, false, errors.New("cluster: short GET response")
 			}
 			return v, true, nil
-		}
-		putCall(rc)
-		if status == kvstore.StatusNotFound {
+		case kvstore.StatusNotFound:
 			return 0, false, nil
 		}
 	}
@@ -130,13 +128,12 @@ func (p *Proxy) copyKeyTo(k uint64, b *backend) (uint64, error) {
 		return 0, nil
 	}
 	var req [17]byte
-	rc, err := b.roundTrip(putReqB(req[:0], k, v))
+	var resp [2]byte
+	r, err := b.roundTrip(putReqB(req[:0], k, v), resp[:0])
 	if err != nil {
 		return 0, err
 	}
-	inserted := len(rc.resp) >= 2 && rc.resp[0] == kvstore.StatusOK && rc.resp[1] == 1
-	putCall(rc)
-	if inserted {
+	if len(r) >= 2 && r[0] == kvstore.StatusOK && r[1] == 1 {
 		return 1, nil
 	}
 	return 0, nil
@@ -158,12 +155,8 @@ func (p *Proxy) deleteKeyOn(k uint64, b *backend, ownership bool) error {
 		}
 	}
 	var req [9]byte
-	rc, err := b.roundTrip(delReqB(req[:0], k))
-	if err != nil {
-		return err
-	}
-	putCall(rc)
-	return nil
+	_, err := b.roundTrip(delReqB(req[:0], k), nil)
+	return err
 }
 
 func backsContain(t *topology, ids []int32, b *backend) bool {

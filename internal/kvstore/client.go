@@ -312,7 +312,7 @@ func (cl *Client) SendStats() { cl.queue(cl.header(OpStats, 0)) }
 // socket read to bound.
 func (cl *Client) RecvFrame(dst []byte) ([]byte, error) {
 	cl.consumed = false
-	if cl.opts.ReadTimeout > 0 && !frameBuffered(cl.br) {
+	if cl.opts.ReadTimeout > 0 && !FrameBuffered(cl.br) {
 		cl.c.SetReadDeadline(time.Now().Add(cl.opts.ReadTimeout))
 		defer cl.c.SetReadDeadline(time.Time{})
 	}

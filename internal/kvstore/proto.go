@@ -124,10 +124,10 @@ func peekFrame(br *bufio.Reader) ([]byte, error) {
 	return br.Peek(4 + int(n))
 }
 
-// frameBuffered reports whether br already holds one whole frame, so
+// FrameBuffered reports whether br already holds one whole frame, so
 // the next frame read from it cannot block on the network. A malformed
 // length reads as buffered: the read then fails without waiting.
-func frameBuffered(br *bufio.Reader) bool {
+func FrameBuffered(br *bufio.Reader) bool {
 	n := br.Buffered()
 	if n < 4 {
 		return false

@@ -358,7 +358,7 @@ func (s *Server) handle(c net.Conn, tid int) {
 	var req, resp []byte
 	m := s.m
 	for nops := uint64(0); ; nops++ {
-		if !frameBuffered(br) && bw.Flush() != nil {
+		if !FrameBuffered(br) && bw.Flush() != nil {
 			return // the client cannot receive; stop executing for it
 		}
 		payload, err := ReadFrame(br, req)
