@@ -230,17 +230,6 @@ func gcd(a, b uint64) uint64 {
 	return a
 }
 
-type pcg struct{ s uint64 }
-
-func (r *pcg) next() uint64 {
-	r.s = r.s*6364136223846793005 + 1442695040888963407
-	x := r.s
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x
-}
-
 // RunSet measures a set subject: prefill half the key range, then
 // threads hammer the mix for dur; repeated runs times on fresh
 // instances. Returned throughput is total operations per second.
@@ -270,10 +259,10 @@ func RunSet(factory func(threads int) SetInstance, threads int, keys uint64, mix
 			wg.Add(1)
 			go func(tid int) {
 				defer wg.Done()
-				rng := pcg{s: uint64(tid)*0x9E3779B97F4A7C15 + uint64(r) + 1}
+				rng := rt.NewPCG(uint64(tid)*0x9E3779B97F4A7C15 + uint64(r) + 1)
 				n := uint64(0)
 				for !stop.Load() {
-					x := rng.next()
+					x := rng.Next()
 					k := x%keys + 1
 					p := int((x >> 32) % 100)
 					switch {

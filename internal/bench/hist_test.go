@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/rt"
 )
 
 // The latency figures the benchmark tools print (kvload's summary line,
@@ -103,18 +104,18 @@ func TestHistEmpty(t *testing.T) {
 // one goroutine — for any split. This is what makes the aggregated
 // latency of a multi-connection load run exact rather than approximate.
 func TestHistMergeEqualsConcatenationProperty(t *testing.T) {
-	rng := pcg{s: 0x4157}
+	rng := rt.NewPCG(0x4157)
 	for trial := 0; trial < 32; trial++ {
-		nway := int(rng.next()%7) + 2
+		nway := int(rng.Next()%7) + 2
 		parts := make([][]uint64, nway)
 		var concat obs.Hist
-		n := int(rng.next()%4096) + 64
+		n := int(rng.Next()%4096) + 64
 		for i := 0; i < n; i++ {
 			// Shift spreads observations across every magnitude so all
 			// three bucket regions (linear, low octaves, high octaves)
 			// participate in every trial.
-			v := rng.next() >> (rng.next() % 60)
-			w := rng.next() % uint64(nway)
+			v := rng.Next() >> (rng.Next() % 60)
+			w := rng.Next() % uint64(nway)
 			parts[w] = append(parts[w], v)
 			concat.Observe(v)
 		}

@@ -46,6 +46,12 @@ func laneTotals(t *testing.T, reg *obs.Registry, backs []*testBackend) (writes, 
 // carries everything queued since its last write. 32 GETs over two
 // backends is 16 frames per backend; the bound leaves room for the
 // flusher catching a burst part-way through.
+//
+// The ratio is asserted only without -race. It compares the flusher's
+// wake latency with the reader's time per dispatched frame, and race
+// instrumentation stretches the second several-fold: on two cores the
+// flusher then wakes after a few frames and reads 3.9–7.3 frames per
+// write, at 13–16 with GOMAXPROCS=1, and at 7.8–15.8 without -race.
 func TestProxyBurstBatching(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, backs, addr := startClusterWith(t, []string{"orcgc", "hp"},
@@ -72,7 +78,7 @@ func TestProxyBurstBatching(t *testing.T) {
 	}
 	ratio := float64(frames) / float64(writes)
 	t.Logf("%d frames in %d lane writes: %.2f frames/write", frames, writes, ratio)
-	if ratio < 4 {
+	if ratio < 4 && !raceEnabled {
 		t.Fatalf("%.2f frames per lane write, want ≥ 4", ratio)
 	}
 }

@@ -31,7 +31,11 @@
 // ring they started with.
 package cluster
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/rt"
+)
 
 // Ring is an immutable consistent-hash partition map. Node ids are
 // indices into Nodes; Lookup returns ids, and the proxy maps them to
@@ -56,15 +60,6 @@ func slotsFor(vnodes int) uint {
 		bits++
 	}
 	return bits
-}
-
-// splitmix64 is the same finalizer the torture harness seeds with —
-// full avalanche, so sequential keys spread uniformly over slots.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }
 
 // hashAddr seeds a node's weight stream from its address (FNV-1a).
@@ -105,7 +100,7 @@ func BuildRing(nodes []string, vnodes int) *Ring {
 	row := make([]weighted, n)
 	for s := 0; s < q; s++ {
 		for i := 0; i < n; i++ {
-			row[i] = weighted{splitmix64(seeds[i] ^ splitmix64(uint64(s)+1)), int32(i)}
+			row[i] = weighted{rt.SplitMix64(seeds[i] ^ rt.SplitMix64(uint64(s)+1)), int32(i)}
 		}
 		sort.Slice(row, func(a, b int) bool {
 			if row[a].w != row[b].w {
@@ -134,7 +129,7 @@ func (r *Ring) Lookup(key uint64, want int, dst []int32) []int32 {
 	if want > n {
 		want = n
 	}
-	s := int(splitmix64(key) >> (64 - r.slotBits))
+	s := int(rt.SplitMix64(key) >> (64 - r.slotBits))
 	return append(dst, r.pref[s*n:s*n+want]...)
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/rt"
 )
 
 func addrs(n int) []string {
@@ -26,7 +28,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	var bufA, bufB [3]int32
 	for seed := uint64(0); seed < 4; seed++ {
 		for i := uint64(0); i < 20000; i++ {
-			key := splitmix64(seed*1e9 + i)
+			key := rt.SplitMix64(seed*1e9 + i)
 			ra := a.Lookup(key, 3, bufA[:0])
 			rb := b.Lookup(key, 3, bufB[:0])
 			if len(ra) != 3 || len(rb) != 3 {

@@ -422,14 +422,18 @@ func slowEchoServer(t *testing.T, delay time.Duration) string {
 	return ln.Addr().String()
 }
 
-// Regression: cancelling one pipelined blocking op must not poison the
-// shared connection for its concurrent neighbours. The old failure
-// mode: the cancelled op's watcher forced the read deadline into the
-// past on the SHARED conn, so a concurrent never-cancelled Get — the
-// one actually reading at that moment, or the next to read — failed
-// with i/o timeout. Now only the head of the ticket queue arms a
-// context, an aborted read consumes nothing, and the successor
-// discards the cancelled op's stale frame before its own.
+// cancelAfter returns a ctx that is cancelled d from now.
+func cancelAfter(t *testing.T, d time.Duration) context.Context {
+	cctx, cancel := context.WithCancel(ctx)
+	time.AfterFunc(d, cancel)
+	t.Cleanup(cancel)
+	return cctx
+}
+
+// Regression: cancelling one blocking op must not poison the ops that
+// follow it on the connection. The aborted read consumed nothing, so
+// Get(1)'s response is still on the wire: Get(2) must discard it before
+// reading its own, and the poisoned read deadline must be lifted.
 func TestCancellationDoesNotPoisonNeighbour(t *testing.T) {
 	addr := slowEchoServer(t, 120*time.Millisecond)
 	cl, err := Dial(addr)
@@ -438,38 +442,40 @@ func TestCancellationDoesNotPoisonNeighbour(t *testing.T) {
 	}
 	defer cl.Close()
 
-	cctx, cancel := context.WithCancel(ctx)
-	errs := make(chan error, 1)
-	go func() {
-		_, _, err := cl.Get(cctx, 1) // head: will be cancelled mid-wait
-		errs <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let Get(1) send and become head
-
-	type res struct {
-		v   uint64
-		ok  bool
-		err error
-	}
-	second := make(chan res, 1)
-	go func() {
-		v, ok, err := cl.Get(ctx, 2) // queued behind the doomed head
-		second <- res{v, ok, err}
-	}()
-	time.Sleep(20 * time.Millisecond) // let Get(2) send and enqueue
-	cancel()
-
-	if err := <-errs; !errors.Is(err, context.Canceled) {
+	if _, _, err := cl.Get(cancelAfter(t, 20*time.Millisecond), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Get err = %v, want context.Canceled in chain", err)
 	}
-	r := <-second
-	if r.err != nil || !r.ok || r.v != 20 {
-		t.Fatalf("neighbour Get poisoned by cancellation: v=%d ok=%v err=%v", r.v, r.ok, r.err)
+	if v, ok, err := cl.Get(ctx, 2); err != nil || !ok || v != 20 {
+		t.Fatalf("Get after a cancelled Get = %d, %v, %v; want 20", v, ok, err)
 	}
-
-	// Third op on the same connection: the stream stayed aligned and
-	// the deadline poison was cleared.
 	if v, ok, err := cl.Get(ctx, 3); err != nil || !ok || v != 30 {
-		t.Fatalf("post-cancellation Get = %d, %v, %v", v, ok, err)
+		t.Fatalf("post-cancellation Get = %d, %v, %v; want 30", v, ok, err)
+	}
+}
+
+// TestCancelledOpsOweFrames: each cancelled op leaves its response
+// owed, and the next op that reaches the wire discards them all, in
+// order, before reading its own.
+func TestCancelledOpsOweFrames(t *testing.T) {
+	addr := slowEchoServer(t, 120*time.Millisecond)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	for key := uint64(1); key <= 2; key++ {
+		if _, _, err := cl.Get(cancelAfter(t, 20*time.Millisecond), key); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Get(%d) err = %v, want context.Canceled in chain", key, err)
+		}
+	}
+	if cl.owed != 2 {
+		t.Fatalf("owed = %d after two cancelled ops, want 2", cl.owed)
+	}
+	if v, ok, err := cl.Get(ctx, 3); err != nil || !ok || v != 30 {
+		t.Fatalf("Get after two cancelled ops = %d, %v, %v; want 30", v, ok, err)
+	}
+	if cl.owed != 0 {
+		t.Fatalf("owed = %d after a completed Get, want 0", cl.owed)
 	}
 }

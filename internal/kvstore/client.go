@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -29,50 +28,39 @@ var (
 // time (they may be different goroutines).
 //
 // The blocking helpers (Get/Put/Del/Scan/Stats/Drain/Cluster*) each do
-// a full round trip and must not be mixed with outstanding pipelined
-// requests — but they MAY be called from any number of goroutines
-// concurrently with each other: a ticket queue (see startOp) serializes
-// them in send order, and a cancelled ctx aborts only its own op's wait,
-// never a neighbour's.
+// a full round trip on the owner's goroutine and must not be mixed with
+// outstanding pipelined requests. A Client used through them has one
+// owner: two goroutines calling helpers on one Client concurrently is a
+// data race, which -race reports. A cancelled ctx aborts the op's wait,
+// not the connection; the frame it leaves on the wire is discarded by
+// the next helper call (see do).
 type Client struct {
 	c    net.Conn
 	bw   *bufio.Writer
 	br   *bufio.Reader
-	opts Options
+	opts options
 
 	wbuf []byte
 	rbuf []byte
 
-	// Blocking-helper response FIFO. hmu guards send order, the ticket
-	// list, and skips; consumed is touched only by the current head
-	// reader, which is single-threaded by construction.
-	hmu      sync.Mutex
-	headT    *ticket
-	tailT    *ticket
-	skips    int // stale response frames owed before the next ticket enqueued
-	consumed bool
+	// owed counts the responses still on the wire that blocking helpers
+	// are due to read: this op's own, plus one per op whose wait a
+	// cancelled ctx aborted before its frame arrived.
+	owed int
+	// aborted receives once from each abortRead that ran, so do never
+	// clears the read deadline before the poison has landed.
+	aborted chan struct{}
 }
 
-// ticket is one blocking helper's place in the response FIFO. A ticket
-// becomes the read-side owner when its ready channel closes; skip is
-// how many stale frames (debt left by cancelled predecessors) it must
-// discard before its own response. A ticket abandoned before reaching
-// the head leaves its own frame as debt for the next live owner.
-type ticket struct {
-	skip      int
-	ready     chan struct{}
-	abandoned bool // guarded by Client.hmu
-	next      *ticket
-}
-
-// Options configures a Client connection. The zero value reproduces the
-// historical Dial behavior: no timeouts, no retries, 64 KiB buffers.
-type Options struct {
+// options configures a Client connection; Dial's Option arguments set
+// it. The zero value is plain Dial: no timeouts, no retries, 64 KiB
+// buffers.
+type options struct {
 	// DialTimeout bounds the TCP connect (0 = OS default).
 	DialTimeout time.Duration
-	// ReadTimeout bounds each response read; 0 disables. A pipelined
-	// receiver under a stalled server fails with a timeout error
-	// instead of hanging forever.
+	// ReadTimeout bounds each Recv* read and each blocking helper's wait
+	// for its response; 0 disables. A pipelined receiver under a stalled
+	// server fails with a timeout error instead of hanging forever.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each Flush; 0 disables.
 	WriteTimeout time.Duration
@@ -87,13 +75,13 @@ type Options struct {
 	// attempt (default 50ms when DialRetries > 0).
 	DialBackoff time.Duration
 	// DialRetryBudget caps the total wall-clock spent across dial
-	// attempts and backoffs; once spent, DialWith returns the last dial
+	// attempts and backoffs; once spent, Dial returns the last dial
 	// error without waiting out the remaining retries (default 15s when
 	// DialRetries > 0; negative disables the cap).
 	DialRetryBudget time.Duration
 }
 
-func (o *Options) bufSize() int {
+func (o *options) bufSize() int {
 	if o.Pipeline <= 0 {
 		return 64 << 10
 	}
@@ -107,47 +95,45 @@ func (o *Options) bufSize() int {
 	return n
 }
 
-// Option adjusts one connection knob; pass any number to Dial. Each
-// option corresponds to an Options field, so the set an operator tuned
-// by struct literal translates one-for-one.
-type Option func(*Options)
+// Option adjusts one connection knob; pass any number to Dial.
+type Option func(*options)
 
 // WithDialTimeout bounds the TCP connect.
 func WithDialTimeout(d time.Duration) Option {
-	return func(o *Options) { o.DialTimeout = d }
+	return func(o *options) { o.DialTimeout = d }
 }
 
 // WithReadTimeout bounds each response read.
 func WithReadTimeout(d time.Duration) Option {
-	return func(o *Options) { o.ReadTimeout = d }
+	return func(o *options) { o.ReadTimeout = d }
 }
 
 // WithWriteTimeout bounds each Flush.
 func WithWriteTimeout(d time.Duration) Option {
-	return func(o *Options) { o.WriteTimeout = d }
+	return func(o *options) { o.WriteTimeout = d }
 }
 
 // WithPipelineDepth sizes the connection buffers for n in-flight
 // requests.
 func WithPipelineDepth(n int) Option {
-	return func(o *Options) { o.Pipeline = n }
+	return func(o *options) { o.Pipeline = n }
 }
 
 // WithRetries grants n extra connect attempts after a dial failure.
 func WithRetries(n int) Option {
-	return func(o *Options) { o.DialRetries = n }
+	return func(o *options) { o.DialRetries = n }
 }
 
 // WithRetryBackoff sets the wait before the first retry (doubling per
 // attempt, ±25% jitter).
 func WithRetryBackoff(d time.Duration) Option {
-	return func(o *Options) { o.DialBackoff = d }
+	return func(o *options) { o.DialBackoff = d }
 }
 
 // WithRetryBudget caps the total wall-clock spent across dial attempts
 // and backoffs; negative disables the cap.
 func WithRetryBudget(d time.Duration) Option {
-	return func(o *Options) { o.DialRetryBudget = d }
+	return func(o *options) { o.DialRetryBudget = d }
 }
 
 // maxDialBackoff caps the dial retry backoff doubling: a generous retry
@@ -181,9 +167,9 @@ func jitterBackoff(d time.Duration, u float64) time.Duration {
 // already knows to be the last — exhausted retries (by count or by
 // WithRetryBudget) return promptly with the last dial error wrapped
 // (errors.Unwrap recovers the net error).
-func Dial(addr string, options ...Option) (*Client, error) {
-	var opts Options
-	for _, opt := range options {
+func Dial(addr string, with ...Option) (*Client, error) {
+	var opts options
+	for _, opt := range with {
 		opt(&opts)
 	}
 	backoff := opts.DialBackoff
@@ -230,10 +216,11 @@ func Dial(addr string, options ...Option) (*Client, error) {
 		rsize = MaxFrame + 4
 	}
 	return &Client{
-		c:    c,
-		bw:   bufio.NewWriterSize(c, size),
-		br:   bufio.NewReaderSize(c, rsize),
-		opts: opts,
+		c:       c,
+		bw:      bufio.NewWriterSize(c, size),
+		br:      bufio.NewReaderSize(c, rsize),
+		opts:    opts,
+		aborted: make(chan struct{}, 1),
 	}, nil
 }
 
@@ -241,9 +228,12 @@ func Dial(addr string, options ...Option) (*Client, error) {
 func (cl *Client) Close() error { return cl.c.Close() }
 
 // CloseWrite half-closes the sending side, telling the server the
-// pipeline is complete; queued responses still arrive.
+// pipeline is complete; queued responses still arrive. A failed flush
+// of the queued requests is returned and the socket left open.
 func (cl *Client) CloseWrite() error {
-	cl.Flush()
+	if err := cl.Flush(); err != nil {
+		return err
+	}
 	if tc, ok := cl.c.(*net.TCPConn); ok {
 		return tc.CloseWrite()
 	}
@@ -311,7 +301,6 @@ func (cl *Client) SendStats() { cl.queue(cl.header(OpStats, 0)) }
 // the frame is not already buffered: a frame in the buffer needs no
 // socket read to bound.
 func (cl *Client) RecvFrame(dst []byte) ([]byte, error) {
-	cl.consumed = false
 	if cl.opts.ReadTimeout > 0 && !FrameBuffered(cl.br) {
 		cl.c.SetReadDeadline(time.Now().Add(cl.opts.ReadTimeout))
 		defer cl.c.SetReadDeadline(time.Time{})
@@ -321,11 +310,8 @@ func (cl *Client) RecvFrame(dst []byte) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, full...)
-	if _, err := cl.br.Discard(len(full)); err != nil {
-		return dst, err
-	}
-	cl.consumed = true
-	return dst, nil
+	_, err = cl.br.Discard(len(full))
+	return dst, err
 }
 
 // WriteFrames writes a batch of already-encoded frames with one writev
@@ -359,13 +345,9 @@ func (cl *Client) Flush() error {
 	return cl.bw.Flush()
 }
 
-// recvRaw reads one response frame with no status mapping. It records
-// whether a frame was actually consumed (cl.consumed) so a cancelled
-// blocking op knows exactly how many stale frames it leaves behind, and
-// reads through Peek/Discard so an aborted wait never strands the
-// stream mid-frame.
-func (cl *Client) recvRaw() ([]byte, error) {
-	cl.consumed = false
+// recv reads one response payload (status byte first), mapping the
+// terminal statuses to errors.
+func (cl *Client) recv() ([]byte, error) {
 	if cl.opts.ReadTimeout > 0 {
 		cl.c.SetReadDeadline(time.Now().Add(cl.opts.ReadTimeout))
 		defer cl.c.SetReadDeadline(time.Time{})
@@ -375,17 +357,11 @@ func (cl *Client) recvRaw() ([]byte, error) {
 		return nil, err
 	}
 	cl.rbuf = p
-	cl.consumed = true
-	return p, nil
+	return checkStatus(p)
 }
 
-// recv reads one response payload (status byte first), mapping the
-// terminal statuses to errors.
-func (cl *Client) recv() ([]byte, error) {
-	p, err := cl.recvRaw()
-	if err != nil {
-		return nil, err
-	}
+// checkStatus maps a response payload's terminal statuses to errors.
+func checkStatus(p []byte) ([]byte, error) {
 	switch p[0] {
 	case StatusErr:
 		return nil, fmt.Errorf("kvstore: server error: %s", p[1:])
@@ -397,9 +373,11 @@ func (cl *Client) recv() ([]byte, error) {
 	return p, nil
 }
 
-// RecvGet consumes a GET response.
-func (cl *Client) RecvGet() (val uint64, found bool, err error) {
-	p, err := cl.recv()
+// The *Resp parsers decode one response payload as recv or do returns
+// it, error included, so the Recv* halves and the blocking helpers
+// share them.
+
+func getResp(p []byte, err error) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
@@ -413,28 +391,15 @@ func (cl *Client) RecvGet() (val uint64, found bool, err error) {
 	return v, true, nil
 }
 
-// RecvPut consumes a PUT response; inserted is true for a fresh key.
-func (cl *Client) RecvPut() (inserted bool, err error) {
-	p, err := cl.recv()
-	if err != nil {
-		return false, err
-	}
-	return len(p) >= 2 && p[1] == 1, nil
+func putResp(p []byte, err error) (bool, error) {
+	return err == nil && len(p) >= 2 && p[1] == 1, err
 }
 
-// RecvDel consumes a DEL response; found is false for an absent key.
-func (cl *Client) RecvDel() (found bool, err error) {
-	p, err := cl.recv()
-	if err != nil {
-		return false, err
-	}
-	return p[0] == StatusOK, nil
+func delResp(p []byte, err error) (bool, error) {
+	return err == nil && p[0] == StatusOK, err
 }
 
-// RecvScan consumes a SCAN response, appending interleaved k,v pairs to
-// dst and returning the extended slice.
-func (cl *Client) RecvScan(dst []uint64) ([]uint64, error) {
-	p, err := cl.recv()
+func scanResp(dst []uint64, p []byte, err error) ([]uint64, error) {
 	if err != nil {
 		return dst, err
 	}
@@ -454,14 +419,36 @@ func (cl *Client) RecvScan(dst []uint64) ([]uint64, error) {
 	return dst, nil
 }
 
+// jsonResp unmarshals a JSON response body into out (skipped when out
+// is nil).
+func jsonResp(out any, p []byte, err error) error {
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(p[1:], out)
+}
+
+// RecvGet consumes a GET response.
+func (cl *Client) RecvGet() (val uint64, found bool, err error) { return getResp(cl.recv()) }
+
+// RecvPut consumes a PUT response; inserted is true for a fresh key.
+func (cl *Client) RecvPut() (inserted bool, err error) { return putResp(cl.recv()) }
+
+// RecvDel consumes a DEL response; found is false for an absent key.
+func (cl *Client) RecvDel() (found bool, err error) { return delResp(cl.recv()) }
+
+// RecvScan consumes a SCAN response, appending interleaved k,v pairs to
+// dst and returning the extended slice.
+func (cl *Client) RecvScan(dst []uint64) ([]uint64, error) {
+	p, err := cl.recv()
+	return scanResp(dst, p, err)
+}
+
 // RecvStats consumes a STATS response.
 func (cl *Client) RecvStats() (Stats, error) {
 	var st Stats
 	p, err := cl.recv()
-	if err != nil {
-		return st, err
-	}
-	err = json.Unmarshal(p[1:], &st)
+	err = jsonResp(&st, p, err)
 	return st, err
 }
 
@@ -469,160 +456,64 @@ func (cl *Client) RecvStats() (Stats, error) {
 func (cl *Client) RecvDrain() (DrainReport, error) {
 	var rep DrainReport
 	p, err := cl.recv()
-	if err != nil {
-		return rep, err
-	}
-	err = json.Unmarshal(p[1:], &rep)
+	err = jsonResp(&rep, p, err)
 	return rep, err
 }
 
-// arm points ctx cancellation at a blocked response read: on ctx.Done
-// the read deadline is forced into the past, which wakes the reader
-// with a timeout error, and the returned finish func maps that error
-// back to ctx's cause. Cancellation abandons the wait, not the
-// connection — the conn stays open and the caller decides whether to
-// Close it. The deadline poison is connection-wide, which is why only
-// the head of the ticket queue (the sole goroutine reading responses)
-// ever arms a context: armed anywhere else, one op's cancellation
-// would fail a concurrent, never-cancelled op mid-read. Peek/Discard
-// framing (ReadFrame) guarantees the aborted read consumed
-// nothing, so the stream stays aligned for the next owner.
-func (cl *Client) arm(ctx context.Context) func(error) error {
-	if ctx == nil || ctx.Done() == nil {
-		return func(err error) error { return err }
+// do is the one blocking round trip. It derives the wire budget from
+// ctx, sends and flushes the request, discards the responses that
+// cancelled predecessors left owed, and reads this op's own with ctx
+// armed; parse decodes it before the read buffer is reused.
+//
+// Cancellation abandons the wait, not the connection: context.AfterFunc
+// forces the read deadline into the past (abortRead), which wakes the
+// blocked read with a timeout error that do maps back to ctx's cause.
+// Peek/Discard framing (ReadFrame) guarantees the aborted read consumed
+// nothing, so the unread frame stays owed and the stream stays aligned
+// for the next call. The caller decides whether to Close.
+func (cl *Client) do(ctx context.Context, send func(budget time.Duration), parse func([]byte, error) error) error {
+	budget, err := cl.budgetFor(ctx)
+	if err != nil {
+		return err
 	}
-	quit := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		select {
-		case <-ctx.Done():
-			cl.c.SetReadDeadline(time.Now())
-		case <-quit:
+	send(budget)
+	if err := cl.Flush(); err != nil {
+		return err
+	}
+	cl.owed++
+	if cl.opts.ReadTimeout > 0 {
+		cl.c.SetReadDeadline(time.Now().Add(cl.opts.ReadTimeout))
+		defer cl.c.SetReadDeadline(time.Time{})
+	}
+	var stop func() bool
+	if ctx != nil && ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, cl.abortRead)
+	}
+	var p []byte
+	for err == nil && cl.owed > 0 {
+		if p, err = ReadFrame(cl.br, cl.rbuf); err == nil {
+			cl.rbuf = p
+			cl.owed--
 		}
-	}()
-	return func(err error) error {
-		close(quit)
-		<-exited
-		// Clear the poison deadline so the connection stays usable; the
-		// watcher has exited, so nothing can re-poison it afterwards.
+	}
+	if stop != nil && !stop() {
+		<-cl.aborted // abortRead has poisoned the deadline; now lift it
 		cl.c.SetReadDeadline(time.Time{})
-		if err != nil && ctx.Err() != nil {
+		if err != nil {
 			return fmt.Errorf("kvstore: %w", context.Cause(ctx))
 		}
+	}
+	if err != nil {
 		return err
 	}
+	return parse(checkStatus(p))
 }
 
-// startOp queues one blocking round trip: the request is sent and
-// flushed under hmu — so wire order matches ticket order — and a
-// ticket is appended to the response FIFO. A ticket enqueued into an
-// empty queue becomes the owner immediately, inheriting any stale-frame
-// debt cancelled predecessors left behind.
-func (cl *Client) startOp(send func()) (*ticket, error) {
-	cl.hmu.Lock()
-	defer cl.hmu.Unlock()
-	send()
-	if err := cl.Flush(); err != nil {
-		return nil, err
-	}
-	t := &ticket{ready: make(chan struct{})}
-	if cl.tailT == nil {
-		t.skip, cl.skips = cl.skips, 0
-		cl.headT, cl.tailT = t, t
-		close(t.ready)
-	} else {
-		cl.tailT.next = t
-		cl.tailT = t
-	}
-	return t, nil
-}
-
-// awaitHead blocks until t owns the read side or ctx is cancelled. On
-// cancellation it re-checks ownership under hmu: a ticket that became
-// head in the race must proceed (its armed read settles the books);
-// one still queued is marked abandoned and its frame becomes debt.
-func (cl *Client) awaitHead(ctx context.Context, t *ticket) error {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	if done == nil {
-		<-t.ready
-		return nil
-	}
-	select {
-	case <-t.ready:
-		return nil
-	case <-done:
-	}
-	cl.hmu.Lock()
-	defer cl.hmu.Unlock()
-	select {
-	case <-t.ready:
-		return nil
-	default:
-		t.abandoned = true
-		return fmt.Errorf("kvstore: %w", context.Cause(ctx))
-	}
-}
-
-// finishOp runs t's turn at the head of the response FIFO: discard the
-// stale frames cancelled predecessors owe, read this op's response with
-// ctx armed (only the head ever arms — see arm), then hand ownership to
-// the next live ticket along with whatever debt this turn left unpaid.
-// recvFn must fully parse the response before returning: the underlying
-// buffer is reused by the next owner.
-func (cl *Client) finishOp(ctx context.Context, t *ticket, recvFn func() error) error {
-	if err := cl.awaitHead(ctx, t); err != nil {
-		return err
-	}
-	if ctx != nil && ctx.Err() != nil {
-		// Became head while already cancelled: don't bother arming a
-		// read that must abort; leave the debt and hand off.
-		cl.finishTurn(t.skip + 1)
-		return fmt.Errorf("kvstore: %w", context.Cause(ctx))
-	}
-	finish := cl.arm(ctx)
-	var err error
-	for t.skip > 0 && err == nil {
-		if _, err = cl.recvRaw(); err == nil {
-			t.skip--
-		}
-	}
-	reached := false
-	if err == nil {
-		reached = true
-		err = recvFn()
-	}
-	err = finish(err)
-	owed := t.skip
-	if !reached || !cl.consumed {
-		owed++ // this op's own response is still on the wire
-	}
-	cl.finishTurn(owed)
-	return err
-}
-
-// finishTurn pops the head ticket and promotes the next live one,
-// folding in owed stale frames plus the debt of any tickets that were
-// abandoned while queued.
-func (cl *Client) finishTurn(owed int) {
-	cl.hmu.Lock()
-	defer cl.hmu.Unlock()
-	t := cl.headT.next
-	for t != nil && t.abandoned {
-		owed += t.skip + 1
-		t = t.next
-	}
-	cl.headT = t
-	if t == nil {
-		cl.tailT = nil
-		cl.skips += owed
-		return
-	}
-	t.skip += owed
-	close(t.ready)
+// abortRead is do's AfterFunc: it wakes a blocked response read by
+// forcing the read deadline into the past.
+func (cl *Client) abortRead() {
+	cl.c.SetReadDeadline(time.Now())
+	cl.aborted <- struct{}{}
 }
 
 // budgetFor derives the wire budget from ctx: the remaining time to its
@@ -646,130 +537,55 @@ func (cl *Client) budgetFor(ctx context.Context) (time.Duration, error) {
 	return d, nil
 }
 
-// Get is a blocking round trip; cancelling ctx aborts this op's wait
-// (never a concurrent op's) without closing the connection. A ctx
-// deadline also rides the wire as an execution budget.
-func (cl *Client) Get(ctx context.Context, key uint64) (uint64, bool, error) {
-	budget, err := cl.budgetFor(ctx)
-	if err != nil {
-		return 0, false, err
-	}
-	t, err := cl.startOp(func() { cl.SendGetBudget(key, budget) })
-	if err != nil {
-		return 0, false, err
-	}
-	var v uint64
-	var found bool
-	err = cl.finishOp(ctx, t, func() (e error) {
-		v, found, e = cl.RecvGet()
-		return e
-	})
-	return v, found, err
+// Get is a blocking round trip; cancelling ctx aborts its wait without
+// closing the connection. A ctx deadline also rides the wire as an
+// execution budget.
+func (cl *Client) Get(ctx context.Context, key uint64) (val uint64, found bool, err error) {
+	err = cl.do(ctx, func(b time.Duration) { cl.SendGetBudget(key, b) },
+		func(p []byte, e error) error { val, found, e = getResp(p, e); return e })
+	return val, found, err
 }
 
 // Put is a blocking round trip.
-func (cl *Client) Put(ctx context.Context, key, val uint64) (bool, error) {
-	budget, err := cl.budgetFor(ctx)
-	if err != nil {
-		return false, err
-	}
-	t, err := cl.startOp(func() { cl.SendPutBudget(key, val, budget) })
-	if err != nil {
-		return false, err
-	}
-	var ins bool
-	err = cl.finishOp(ctx, t, func() (e error) {
-		ins, e = cl.RecvPut()
-		return e
-	})
-	return ins, err
+func (cl *Client) Put(ctx context.Context, key, val uint64) (inserted bool, err error) {
+	err = cl.do(ctx, func(b time.Duration) { cl.SendPutBudget(key, val, b) },
+		func(p []byte, e error) error { inserted, e = putResp(p, e); return e })
+	return inserted, err
 }
 
 // Del is a blocking round trip.
-func (cl *Client) Del(ctx context.Context, key uint64) (bool, error) {
-	budget, err := cl.budgetFor(ctx)
-	if err != nil {
-		return false, err
-	}
-	t, err := cl.startOp(func() { cl.SendDelBudget(key, budget) })
-	if err != nil {
-		return false, err
-	}
-	var found bool
-	err = cl.finishOp(ctx, t, func() (e error) {
-		found, e = cl.RecvDel()
-		return e
-	})
+func (cl *Client) Del(ctx context.Context, key uint64) (found bool, err error) {
+	err = cl.do(ctx, func(b time.Duration) { cl.SendDelBudget(key, b) },
+		func(p []byte, e error) error { found, e = delResp(p, e); return e })
 	return found, err
 }
 
 // Scan is a blocking round trip returning interleaved k,v pairs.
-func (cl *Client) Scan(ctx context.Context, from uint64, limit uint32) ([]uint64, error) {
-	budget, err := cl.budgetFor(ctx)
-	if err != nil {
-		return nil, err
-	}
-	t, err := cl.startOp(func() { cl.SendScanBudget(from, limit, budget) })
-	if err != nil {
-		return nil, err
-	}
-	var pairs []uint64
-	err = cl.finishOp(ctx, t, func() (e error) {
-		pairs, e = cl.RecvScan(nil)
-		return e
-	})
+func (cl *Client) Scan(ctx context.Context, from uint64, limit uint32) (pairs []uint64, err error) {
+	err = cl.do(ctx, func(b time.Duration) { cl.SendScanBudget(from, limit, b) },
+		func(p []byte, e error) error { pairs, e = scanResp(nil, p, e); return e })
 	return pairs, err
 }
 
 // Stats is a blocking round trip.
-func (cl *Client) Stats(ctx context.Context) (Stats, error) {
-	t, err := cl.startOp(cl.SendStats)
-	if err != nil {
-		return Stats{}, err
-	}
-	var st Stats
-	err = cl.finishOp(ctx, t, func() (e error) {
-		st, e = cl.RecvStats()
-		return e
-	})
+func (cl *Client) Stats(ctx context.Context) (st Stats, err error) {
+	err = cl.do(ctx, func(time.Duration) { cl.SendStats() },
+		func(p []byte, e error) error { return jsonResp(&st, p, e) })
 	return st, err
 }
 
 // Drain is a blocking round trip (quiescent use only).
-func (cl *Client) Drain(ctx context.Context) (DrainReport, error) {
-	t, err := cl.startOp(cl.SendDrain)
-	if err != nil {
-		return DrainReport{}, err
-	}
-	var rep DrainReport
-	err = cl.finishOp(ctx, t, func() (e error) {
-		rep, e = cl.RecvDrain()
-		return e
-	})
+func (cl *Client) Drain(ctx context.Context) (rep DrainReport, err error) {
+	err = cl.do(ctx, func(time.Duration) { cl.SendDrain() },
+		func(p []byte, e error) error { return jsonResp(&rep, p, e) })
 	return rep, err
 }
 
 // clusterRPC does one blocking admin round trip against a kvproxy and
 // unmarshals the JSON response into out (skipped when out is nil).
 func (cl *Client) clusterRPC(ctx context.Context, op uint8, addr string, out any) error {
-	budget, err := cl.budgetFor(ctx)
-	if err != nil {
-		return err
-	}
-	t, err := cl.startOp(func() { cl.queue(append(cl.header(op, budget), addr...)) })
-	if err != nil {
-		return err
-	}
-	return cl.finishOp(ctx, t, func() error {
-		resp, e := cl.recv()
-		if e != nil {
-			return e
-		}
-		if out == nil {
-			return nil
-		}
-		return json.Unmarshal(resp[1:], out)
-	})
+	return cl.do(ctx, func(b time.Duration) { cl.queue(append(cl.header(op, b), addr...)) },
+		func(p []byte, e error) error { return jsonResp(out, p, e) })
 }
 
 // ClusterInfo fetches a kvproxy's topology snapshot. The result is the

@@ -73,3 +73,31 @@ func TestPipelinedSendZeroAlloc(t *testing.T) {
 		t.Fatalf("%v allocations per 5 pipelined sends, want 0", n)
 	}
 }
+
+// TestBlockingGetZeroAlloc: a blocking Get with a ctx that can never be
+// cancelled sends, flushes and parses in the connection's reusable
+// buffers and arms nothing, so a warm round trip over loopback
+// allocates nothing — the server's side of it included.
+func TestBlockingGetZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race pass")
+	}
+	_, _, addr := startServer(t, "orcgc", 4)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Put(ctx, 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		if v, ok, err := cl.Get(ctx, 1); err != nil || !ok || v != 10 {
+			t.Fatalf("Get = %d, %v, %v", v, ok, err)
+		}
+	}
+	get() // size the connection's buffers
+	if n := testing.AllocsPerRun(200, get); n != 0 {
+		t.Fatalf("%v allocations per blocking Get, want 0", n)
+	}
+}

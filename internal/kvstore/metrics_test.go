@@ -270,7 +270,7 @@ func TestDialRetryBudget(t *testing.T) {
 	)
 	elapsed := time.Since(t0)
 	if err == nil {
-		t.Fatal("DialWith succeeded against a dead address")
+		t.Fatal("Dial succeeded against a dead address")
 	}
 	// 1000 retries at a doubling 20ms backoff would take minutes; the
 	// budget must cut it off around the 100ms mark (generous ceiling for
@@ -293,7 +293,7 @@ func TestDialRetryBudget(t *testing.T) {
 	_, err = Dial(addr, WithRetries(2), WithRetryBackoff(10*time.Millisecond))
 	elapsed = time.Since(t0)
 	if err == nil {
-		t.Fatal("DialWith succeeded against a dead address")
+		t.Fatal("Dial succeeded against a dead address")
 	}
 	if !errors.As(err, &opErr) {
 		t.Fatalf("wrapped error lost the net.OpError: %v", err)

@@ -1,7 +1,9 @@
 // Package rt supplies small runtime substrates shared by the reclamation
 // schemes and data structures: a thread-id registry standing in for the
-// C++ implementation's thread_local tid, cache-line padded counters, and
-// a bounded exponential backoff.
+// C++ implementation's thread_local tid, cache-line padded counters, a
+// bounded exponential backoff, and the seeded generators (SplitMix64,
+// Mix64, PCG) that torture schedules, bench key streams and the cluster
+// ring share.
 package rt
 
 import (

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/kvstore"
+	"repro/internal/rt"
 )
 
 // The kvstore chaos subject drives a live in-process server through
@@ -61,10 +62,10 @@ func RunKV(scheme string, cfg Config) *Verdict {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			rng := pcg{s: mix64(cfg.Seed, uint64(tid)+0x6B76)}
+			rng := rt.NewPCG(rt.Mix64(cfg.Seed, uint64(tid)+0x6B76))
 			h := fnvOffset
 			for c := 0; c < connsPer; c++ {
-				fate := rng.next() % 5
+				fate := rng.Next() % 5
 				h = fnv1a(h, fate)
 				if !chaosConn(addr, fate, &rng, &h) {
 					dialFails[tid]++
@@ -134,7 +135,7 @@ func RunKV(scheme string, cfg Config) *Verdict {
 
 // chaosConn runs one misbehaving connection. Returns false only when the
 // dial itself failed; protocol errors afterwards are the point.
-func chaosConn(addr string, fate uint64, rng *pcg, h *uint64) bool {
+func chaosConn(addr string, fate uint64, rng *rt.PCG, h *uint64) bool {
 	if fate == 3 {
 		// Partial frame: open a raw connection, write a truncated PUT
 		// frame (length prefix promises 17 bytes, deliver 5), hang up.
@@ -161,10 +162,10 @@ func chaosConn(addr string, fate uint64, rng *pcg, h *uint64) bool {
 		return false
 	}
 	defer cl.Close()
-	nops := int(rng.next()%48) + 8
+	nops := int(rng.Next()%48) + 8
 	kinds := make([]byte, nops)
 	for i := 0; i < nops; i++ {
-		x := rng.next()
+		x := rng.Next()
 		key := x%chaosKeys + kvstore.MinKey
 		switch x >> 62 {
 		case 0, 1:

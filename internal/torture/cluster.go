@@ -10,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/kvstore"
+	"repro/internal/rt"
 )
 
 // The cluster-failover subject tortures the orccluster proxy's central
@@ -164,7 +165,7 @@ func RunCluster(cfg Config) *Verdict {
 			me.shadow = make(map[uint64]uint64, cfg.Keys)
 			me.maybe = make(map[uint64]bool)
 			base := kvstore.MinKey + uint64(tid)*cfg.Keys
-			rng := pcg{s: mix64(cfg.Seed, uint64(tid)+0xC1A5)}
+			rng := rt.NewPCG(rt.Mix64(cfg.Seed, uint64(tid)+0xC1A5))
 			cl, err := kvstore.Dial(proxyAddr,
 				kvstore.WithReadTimeout(30*time.Second), kvstore.WithRetries(3),
 			)
@@ -175,11 +176,11 @@ func RunCluster(cfg Config) *Verdict {
 			defer cl.Close()
 			h := fnvOffset
 			for i := uint64(0); i < cfg.OpsPerThread; i++ {
-				x := rng.next()
+				x := rng.Next()
 				key := base + x%cfg.Keys
 				switch {
 				case x>>61 < 3: // ~37.5% put
-					val := mix64(x, key)
+					val := rt.Mix64(x, key)
 					h = fnv1a(h, uint64(kvstore.OpPut), key)
 					if _, err := cl.Put(context.Background(), key, val); err != nil {
 						me.errs++

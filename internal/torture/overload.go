@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/kvstore"
+	"repro/internal/rt"
 )
 
 // The overload subject saturates a server whose admission control is
@@ -253,7 +254,7 @@ func overloadWriter(addr string, cfg Config, tid int, tal *overloadTally) (map[u
 	}
 	defer cl.Close()
 
-	rng := pcg{s: mix64(cfg.Seed, uint64(tid)+0x4F4C)}
+	rng := rt.NewPCG(rt.Mix64(cfg.Seed, uint64(tid)+0x4F4C))
 	h := fnvOffset
 	base := overloadBase(tid)
 	shadow := make(map[uint64]uint64, overloadKeys)
@@ -317,7 +318,7 @@ func overloadWriter(addr string, cfg Config, tid int, tal *overloadTally) (map[u
 		return true
 	}
 	for i := uint64(0); i < cfg.OpsPerThread; i++ {
-		x := rng.next()
+		x := rng.Next()
 		key := base + x%overloadKeys
 		var po pendOp
 		switch x >> 62 {
@@ -358,7 +359,7 @@ func overloadFlooder(addr string, cfg Config, tid int, tal *overloadTally) (uint
 	}
 	defer cl.Close()
 
-	rng := pcg{s: mix64(cfg.Seed, uint64(tid)+0x464C)}
+	rng := rt.NewPCG(rt.Mix64(cfg.Seed, uint64(tid)+0x464C))
 	h := fnvOffset
 	span := uint64(cfg.Threads) * overloadKeys
 	const pipeline = 8
@@ -389,7 +390,7 @@ func overloadFlooder(addr string, cfg Config, tid int, tal *overloadTally) (uint
 		return true
 	}
 	for i := uint64(0); i < cfg.OpsPerThread; i++ {
-		x := rng.next()
+		x := rng.Next()
 		key := x%span + kvstore.MinKey
 		if x>>61 == 0 {
 			cl.SendScanBudget(kvstore.MinKey, 256, overloadBudget)

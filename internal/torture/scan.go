@@ -8,6 +8,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/bench"
 	"repro/internal/reclaim"
+	"repro/internal/rt"
 )
 
 // Scan torture drives the reclamation schemes directly — no data
@@ -86,11 +87,11 @@ func RunScanScheme(scheme string, cfg Config) *Verdict {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			rng := pcg{s: mix64(cfg.Seed, uint64(tid))}
+			rng := rt.NewPCG(rt.Mix64(cfg.Seed, uint64(tid)))
 			h := fnvOffset
 			hps := 4
 			for i := uint64(0); i < cfg.OpsPerThread; i++ {
-				x := rng.next()
+				x := rng.Next()
 				slot := x % nslots
 				s.BeginOp(tid)
 				if x>>60 < 6 { // ~37% writers: replace and retire

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/bench"
+	"repro/internal/rt"
 )
 
 // Set torture partitions the key space by ownership: tid mutates only
@@ -44,12 +45,12 @@ func RunSet(name string, cfg Config) *Verdict {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			rng := pcg{s: mix64(cfg.Seed, uint64(tid))}
+			rng := rt.NewPCG(rt.Mix64(cfg.Seed, uint64(tid)))
 			shadow := make(map[uint64]bool, keysPer)
 			h := fnvOffset
 			var fails []string
 			for i := uint64(0); i < cfg.OpsPerThread; i++ {
-				x := rng.next()
+				x := rng.Next()
 				p := int((x >> 48) % 100)
 				switch {
 				case p < cfg.InsertPct:
@@ -158,12 +159,12 @@ func RunQueue(name string, cfg Config) *Verdict {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			rng := pcg{s: mix64(cfg.Seed, uint64(tid))}
+			rng := rt.NewPCG(rt.Mix64(cfg.Seed, uint64(tid)))
 			h := fnvOffset
 			seq := uint64(0)
 			var got []uint64
 			for i := uint64(0); i < cfg.OpsPerThread; i++ {
-				if rng.next()&1 == 0 {
+				if rng.Next()&1 == 0 {
 					val := uint64(tid)<<24 | seq
 					seq++
 					h = fnv1a(h, 1, val)

@@ -133,32 +133,6 @@ func (v *Verdict) String() string {
 // injections.
 var hookMu sync.Mutex
 
-// mix64 is splitmix64's finalizer — seeds per-thread streams so that
-// nearby (seed, tid) pairs diverge immediately.
-func mix64(seed, tid uint64) uint64 {
-	x := seed + (tid+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	if x == 0 {
-		x = 1
-	}
-	return x
-}
-
-type pcg struct{ s uint64 }
-
-func (r *pcg) next() uint64 {
-	r.s = r.s*6364136223846793005 + 1442695040888963407
-	x := r.s
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x
-}
-
 const fnvOffset = uint64(14695981039346656037)
 
 func fnv1a(h uint64, words ...uint64) uint64 {
