@@ -47,10 +47,12 @@ race-peek:
 # instrumentation allocates): a steady-state proxied GET/PUT must not
 # allocate, a dispatched SCAN or STATS must leave no goroutine waiting
 # on its backend legs (and merge them right), a churned topology must
-# return to its goroutine baseline, and a client burst must reach each
-# backend batched (lane_frames / lane_writes ≥ 4).
+# return to its goroutine baseline, a client burst must reach each
+# backend batched (lane_frames / lane_writes ≥ 4; exactly one lane
+# write per burst at R=1), a timer-fired hedge must write its own frame,
+# and each lane must run one goroutine, its receiver.
 cluster-guards:
-	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyScanStatsNoGoroutine|TestProxyGoroutineBaseline|TestProxyBurstBatching|TestProxyOneGoroutinePerConn|TestProxySlowClientStallsOnlyItself|TestProxyBurstAnswersInRequestOrder' -count=1 -v
+	$(GO) test ./internal/cluster/ -run 'TestProxySteadyState|TestProxyScanStatsNoGoroutine|TestProxyGoroutineBaseline|TestProxyBurstBatching|TestProxyBurstOneWritePerLane|TestProxyHedgeWritesWithoutReader|TestProxyOneGoroutinePerConn|TestProxyOneGoroutinePerLane|TestProxySlowClientStallsOnlyItself|TestProxyBurstAnswersInRequestOrder' -count=1 -v
 
 # The repo's one measurement system: four workloads (ds-churn, ds-read,
 # kv-mixed, proxy-read) x five subjects, the end-to-end metrics with

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,12 +173,18 @@ func (w *wireBuf) unref() {
 }
 
 // conn is a backend's lane: the one pipelined connection every request
-// to that backend rides. Submissions append to the wire and to the
-// pending FIFO under mu; a receiver goroutine pairs responses with
-// pending calls in order. One lane per backend keeps the wire in the
-// proxy's submission order, so every replica executes same-key writes
-// in the proxy's stripe order, and lets the flusher gather what every
-// client connection queued since its last write into one writev.
+// to that backend rides. Submissions append to the wire queue and to
+// the pending FIFO under mu; the lane's one goroutine, recvLoop, pairs
+// responses with pending calls in order. One lane per backend keeps the
+// wire in the proxy's submission order, so every replica executes
+// same-key writes in the proxy's stripe order.
+//
+// A lane has no writer of its own. A submitter that may block writes
+// what it queued before it waits — a client reader before it parks on
+// its burst, an admin round trip before it waits on its reply — so a
+// burst's frames to one backend share one writev. A submitter that
+// must not block (a hedge timer, a failover or other continuation on a
+// lane receiver) writes at once.
 type conn struct {
 	b   *backend
 	gen uint64
@@ -186,7 +193,6 @@ type conn struct {
 	mu      sync.Mutex
 	dead    bool
 	pending chan *call
-	flushCh chan struct{} // wakes the flusher; cap 1, closed by killLocked
 
 	// Outbound frame queue, drained by one writev. outW holds the
 	// refcounts, outB the parallel byte views handed to net.Buffers;
@@ -196,84 +202,85 @@ type conn struct {
 	scratch [][]byte
 }
 
-// submit queues the frame fr on this lane (taking its own reference on
-// it). Returns false if the lane is dead.
-//
-// Flushing is coalesced: the common path only queues the frame and
-// wakes the lane's flusher, so concurrent submissions share one writev
-// syscall instead of paying one each. The exception is a lane at full
-// depth — there we must write *before* blocking on the pending queue,
-// because the flusher needs mu (held across the block), and once every
-// pending call is on the wire the queue drains on the server's replies
-// alone.
-func (c *conn) submit(fr *wireBuf, ca *call) bool {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		return false
-	}
-	fr.ref()
-	c.outW = append(c.outW, fr)
-	c.outB = append(c.outB, fr.b)
-	select {
-	case c.pending <- ca:
-		select {
-		case c.flushCh <- struct{}{}:
-		default: // a wakeup is already queued; it will cover this frame
-		}
-	default:
-		if err := c.writeLocked(); err != nil {
-			// The lane is broken; the receiver will fail the calls
-			// already pending once its read errors. This call was never
-			// reliably on the wire, so fail it here and kill the lane.
-			c.killLocked()
-			c.mu.Unlock()
+// laneSet holds the lanes a submitter that may block has queued frames
+// on and not yet written; flush writes them, and the submitter calls it
+// before it waits. It is fixed-size so a client burst carries one with
+// no allocation; a lane that finds it full is written at once.
+type laneSet struct {
+	n     int
+	lanes [2 * maxReplicas]*conn
+}
+
+// add records c, reporting false if the set is full.
+func (s *laneSet) add(c *conn) bool {
+	if !slices.Contains(s.lanes[:s.n], c) {
+		if s.n == len(s.lanes) {
 			return false
 		}
-		c.pending <- ca // blocks at depth: natural per-lane backpressure
+		s.lanes[s.n] = c
+		s.n++
 	}
-	c.mu.Unlock()
-	c.b.inflight.Add(1)
 	return true
 }
 
-// trySubmit is submit for callers that must never block — op
-// continuations running on a lane receiver or a hedge timer. A lane at
-// full depth reports full=true (alive, just no room) instead of
-// queuing behind the depth limit.
-func (c *conn) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
-	c.mu.Lock()
-	if c.dead {
+// flush writes every lane in the set and empties it.
+func (s *laneSet) flush() {
+	for i, c := range s.lanes[:s.n] {
+		c.mu.Lock()
+		c.writeLocked()
 		c.mu.Unlock()
+		s.lanes[i] = nil
+	}
+	s.n = 0
+}
+
+// submit queues the frame fr for ca on this lane, taking its own
+// reference on it; ok is false if the lane is dead. ls is the caller's
+// set when it may block: the frame stays queued, ls records the lane,
+// and the caller flushes ls before it waits. A nil ls marks a caller
+// that must not block: the frame is written at once, and a lane at
+// full depth is refused with full=true (alive, just no room).
+func (c *conn) submit(fr *wireBuf, ca *call, ls *laneSet) (ok, full bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead {
 		return false, false
 	}
-	select {
-	case c.pending <- ca:
-	default:
-		c.mu.Unlock()
+	if ls == nil && len(c.pending) == cap(c.pending) { // only the receiver takes from pending
 		return false, true
 	}
 	fr.ref()
 	c.outW = append(c.outW, fr)
 	c.outB = append(c.outB, fr.b)
 	select {
-	case c.flushCh <- struct{}{}:
+	case c.pending <- ca:
+		if ls == nil || !ls.add(c) {
+			c.writeLocked() // a failed write kills the lane; its receiver fails ca with the rest
+		}
 	default:
+		// Full depth: write everything queued, then block. Once every
+		// pending call is on the wire, the lane drains on the server's
+		// replies alone.
+		if !c.writeLocked() {
+			return false, false // ca never reached pending; its caller fails it
+		}
+		c.pending <- ca // natural per-lane backpressure
 	}
-	c.mu.Unlock()
 	c.b.inflight.Add(1)
 	return true, false
 }
 
-// writeLocked writevs every queued frame in one syscall; mu held. The
-// queue is copied into scratch first — net.Buffers.WriteTo consumes
-// the slice it is given — and the frame references are released only
-// after the write, which is what gates in-place budget rewrites: a
-// frame with any outstanding lane reference is still (about to be) on
-// some wire and must be cloned, not rewritten.
-func (c *conn) writeLocked() error {
+// writeLocked writevs every queued frame in one syscall; mu held. A
+// failed write kills the lane and reports false; a dead lane has
+// nothing queued. The queue is copied into scratch first —
+// net.Buffers.WriteTo consumes the slice it is given — and the frame
+// references are released only after the write, which is what gates
+// in-place budget rewrites: a frame with any outstanding lane
+// reference is still (about to be) on some wire and must be cloned,
+// not rewritten.
+func (c *conn) writeLocked() bool {
 	if len(c.outB) == 0 {
-		return nil
+		return true
 	}
 	c.b.laneWrites.Add(1)
 	c.b.laneFrames.Add(int64(len(c.outB)))
@@ -284,7 +291,10 @@ func (c *conn) writeLocked() error {
 		c.scratch[i] = nil
 	}
 	c.releaseOutLocked()
-	return err
+	if err != nil {
+		c.killLocked()
+	}
+	return err == nil
 }
 
 func (c *conn) releaseOutLocked() {
@@ -295,25 +305,6 @@ func (c *conn) releaseOutLocked() {
 	}
 	c.outW = c.outW[:0]
 	c.outB = c.outB[:0]
-}
-
-// flushLoop pushes queued frames to the wire whenever submit signals.
-// One wakeup covers every frame queued before the flush runs, so a
-// burst of submissions costs one syscall.
-func (c *conn) flushLoop() {
-	for range c.flushCh {
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			return
-		}
-		if err := c.writeLocked(); err != nil {
-			c.killLocked()
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-	}
 }
 
 // killLocked marks the lane dead and closes the socket; mu held. The
@@ -327,7 +318,6 @@ func (c *conn) killLocked() {
 	c.cl.Close()
 	c.releaseOutLocked()
 	close(c.pending)
-	close(c.flushCh) // sends are gated on !dead under mu, like pending
 	c.b.noteDeath(c.gen)
 }
 
@@ -533,9 +523,8 @@ func (b *backend) connect(gen uint64) (*conn, error) {
 		return nil, fmt.Errorf("cluster: %s STATS: %w", b.addr, err)
 	}
 	b.scheme.Store(&st.Scheme)
-	c := &conn{b: b, gen: gen, cl: cl, pending: make(chan *call, cfg.Depth), flushCh: make(chan struct{}, 1)}
+	c := &conn{b: b, gen: gen, cl: cl, pending: make(chan *call, cfg.Depth)}
 	go c.recvLoop()
-	go c.flushLoop()
 	return c, nil
 }
 
@@ -554,21 +543,9 @@ func (b *backend) teardown(c *conn) {
 	}
 }
 
-// submit queues an op on the backend's lane. Blocks at full depth —
-// only for callers that may park (the client reader, the blocking
-// round-trip helpers).
-func (b *backend) submit(fr *wireBuf, ca *call) bool {
-	if b.testSubmit != nil {
-		return b.testSubmit(fr, ca)
-	}
-	c := b.lane.Load()
-	return c != nil && c.submit(fr, ca)
-}
-
-// trySubmit is submit for continuation contexts: it never blocks, and
-// reports whether the refusal was depth (full — the lane at capacity)
-// rather than death.
-func (b *backend) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
+// submit queues an op on the backend's lane; see conn.submit for ls
+// and full.
+func (b *backend) submit(fr *wireBuf, ca *call, ls *laneSet) (ok, full bool) {
 	if b.testSubmit != nil {
 		return b.testSubmit(fr, ca), false
 	}
@@ -576,22 +553,34 @@ func (b *backend) trySubmit(fr *wireBuf, ca *call) (ok, full bool) {
 	if c == nil {
 		return false, false
 	}
-	return c.trySubmit(fr, ca)
+	return c.submit(fr, ca, ls)
 }
 
 // roundTrip is the blocking helper rebalancing's single-key reads,
-// copies and deletes use: a one-leg scatter whose reply payload, status
-// byte first, is appended to dst.
+// copies and deletes use: a one-leg scatterWait whose reply payload,
+// status byte first, is appended to dst.
 func (b *backend) roundTrip(req, dst []byte) ([]byte, error) {
-	settled := make(chan error, 1)
-	scatter([]*backend{b}, req, func(legs []*call) {
-		if legs[0].err == nil {
+	var err error
+	scatterWait([]*backend{b}, req, func(legs []*call) {
+		if err = legs[0].err; err == nil {
 			dst = append(dst, legs[0].resp...)
 		}
-		settled <- legs[0].err
 	})
-	err := <-settled
 	return dst, err
+}
+
+// scatterWait is scatter for a caller that may block (an admin or
+// rebalance goroutine): it writes the lanes it queued on, then waits
+// until done has run.
+func scatterWait(sources []*backend, req []byte, done func(legs []*call)) {
+	settled := make(chan struct{}, 1)
+	var ls laneSet
+	scatter(sources, req, &ls, func(legs []*call) {
+		done(legs)
+		settled <- struct{}{}
+	})
+	ls.flush()
+	<-settled
 }
 
 // fanOut is one scatter in flight: a leg per source plus a setup hold,
@@ -607,9 +596,10 @@ type fanOut struct {
 // goroutine that settled the last one, a lane receiver unless a submit
 // failed — so done must never block. legs[i] answers sources[i] (err
 // set if it failed) and returns to the pool when done returns. The
-// submissions themselves may block at full lane depth, like any
-// reader-side submit.
-func scatter(sources []*backend, req []byte, done func(legs []*call)) {
+// submissions may block at full lane depth, like any reader-side
+// submit, and leave their lanes in ls for the caller to flush before
+// it waits.
+func scatter(sources []*backend, req []byte, ls *laneSet, done func(legs []*call)) {
 	f := &fanOut{legs: make([]*call, len(sources)), done: done}
 	f.outstanding.Store(int32(len(sources)) + 1) // setup hold: no settlement while still submitting
 	fr := getWire()
@@ -617,7 +607,7 @@ func scatter(sources []*backend, req []byte, done func(legs []*call)) {
 	for i, b := range sources {
 		lc := getCall(f)
 		f.legs[i] = lc
-		if !b.submit(fr, lc) {
+		if ok, _ := b.submit(fr, lc, ls); !ok {
 			lc.fail(errBackendDown)
 		}
 	}

@@ -60,8 +60,9 @@ var getOpPool = sync.Pool{New: func() any { return &getOp{} }}
 
 // startGet begins a proxied GET on the client reader's goroutine. The
 // request bytes are captured into the op's pooled frame before return;
-// the caller's buffer may be reused immediately.
-func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call) {
+// the caller's buffer may be reused immediately. The primary's lane
+// joins ls, which the reader flushes before it parks.
+func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call, ls *laneSet) {
 	op := getOpPool.Get().(*getOp)
 	op.p, op.ca, op.deadline = p, ca, deadline
 	op.ncand, op.next, op.outstanding = 0, 0, 0
@@ -106,7 +107,7 @@ func (p *Proxy) startGet(req []byte, key uint64, deadline time.Time, ca *call) {
 	op.mu.Lock()
 	op.outstanding++
 	op.mu.Unlock()
-	ok := b.submit(bfr, bc) // blocking is fine: reader context, backpressure intended
+	ok, _ := b.submit(bfr, bc, ls) // blocking is fine: reader context, backpressure intended
 	if bfr != fr {
 		bfr.unref()
 	}
@@ -206,9 +207,11 @@ func (op *getOp) disarmLocked() {
 }
 
 // hedgeFire is the timer callback: fire one speculative read at the
-// next candidate. Refusals to submit are quiet — a full or dead lane
-// just means the primary is waited out, matching the PR-7 flow (the
-// consumed candidate is skipped if failover follows).
+// next candidate, written to its lane at once — the client's reader is
+// parked and writes nothing more for this op. Refusals to submit are
+// quiet — a full or dead lane just means the primary is waited out,
+// matching the PR-7 flow (the consumed candidate is skipped if
+// failover follows).
 func (op *getOp) hedgeFire() {
 	op.mu.Lock()
 	if !op.armed || op.finished {
@@ -236,7 +239,7 @@ func (op *getOp) hedgeFire() {
 	op.mu.Lock()
 	op.outstanding++
 	op.mu.Unlock()
-	ok, _ := b.trySubmit(bfr, bc)
+	ok, _ := b.submit(bfr, bc, nil)
 	if bfr != op.frame {
 		bfr.unref()
 	}
@@ -338,7 +341,7 @@ func (op *getOp) failover() {
 		op.mu.Lock()
 		op.outstanding++
 		op.mu.Unlock()
-		ok, full := b.trySubmit(bfr, bc)
+		ok, full := b.submit(bfr, bc, nil)
 		if bfr != op.frame {
 			bfr.unref()
 		}
@@ -428,7 +431,8 @@ const minWriteBudget = 20 * time.Microsecond
 // when the RTT estimator is still cold (it reads 0 before warm-up).
 const minHopCost = 20 * time.Microsecond
 
-// startWrite begins a proxied PUT/DEL on the client reader's goroutine.
+// startWrite begins a proxied PUT/DEL on the client reader's goroutine;
+// the replicas' lanes join ls, which the reader flushes before it parks.
 //
 // Budgets gate writes only *before* submission: an expired budget is
 // refused here, with nothing on any wire, so StatusDeadlineExceeded
@@ -436,7 +440,7 @@ const minHopCost = 20 * time.Microsecond
 // unbudgeted — once a write is in flight to a replica set, a
 // per-replica deadline expiry would mean divergence, exactly what the
 // ack invariant forbids.
-func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call) {
+func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call, ls *laneSet) {
 	// A write whose remaining budget cannot cover even a loopback round
 	// trip is dead on arrival; it must be refused *here* because the
 	// forwarded frame carries no budget for a backend to notice. (The
@@ -470,7 +474,7 @@ func (p *Proxy) startWrite(req []byte, key uint64, deadline time.Time, ca *call)
 		op.sheds[n] = false
 		op.n = n + 1
 		op.outstanding.Add(1)
-		if !b.submit(fr, bc) {
+		if ok, _ := b.submit(fr, bc, ls); !ok {
 			op.n = n
 			op.calls[n] = nil
 			op.outstanding.Add(-1) // cannot hit 0: setup hold outstanding

@@ -50,11 +50,14 @@ type waiter chan struct{}
 
 func (w waiter) backendDone(*call) { w <- struct{}{} }
 
-// runOp dispatches req on a fresh call owned by w and waits for it to
-// settle. The caller putCalls the result.
+// runOp dispatches req on a fresh call owned by w, writes the lanes it
+// queued on and waits for it to settle, as a connection's reader does.
+// The caller putCalls the result.
 func runOp(p *Proxy, w waiter, req []byte) *call {
 	ca := getCall(w)
-	p.dispatch(req, ca)
+	var ls laneSet
+	p.dispatch(req, ca, &ls)
+	ls.flush()
 	<-w
 	return ca
 }
@@ -255,8 +258,9 @@ func TestProxyScanStatsNoGoroutine(t *testing.T) {
 	}
 	scanW, statsW := make(waiter, 1), make(waiter, 1)
 	scan, stats := getCall(scanW), getCall(statsW)
-	p.dispatch(scanReq(nil, 1, 3), scan)
-	p.dispatch([]byte{kvstore.OpStats}, stats)
+	var ls laneSet
+	p.dispatch(scanReq(nil, 1, 3), scan, &ls)
+	p.dispatch([]byte{kvstore.OpStats}, stats, &ls)
 	if n := proxyOpGoroutines(); n != 0 {
 		t.Errorf("%d goroutines wait on a dispatched SCAN and STATS, want 0", n)
 	}

@@ -53,6 +53,41 @@ func TestProxyOneGoroutinePerConn(t *testing.T) {
 	}
 }
 
+// A lane runs one goroutine, its receiver: the submitters write what
+// they queue, so no lane has a flusher or any other goroutine of its
+// own. Lanes of earlier tests' proxies may still be exiting, so the
+// count is polled down to this proxy's.
+func TestProxyOneGoroutinePerLane(t *testing.T) {
+	p, _, addr := startCluster(t, []string{"orcgc", "hp", "ebr"}, 2)
+	cl := proxyClient(t, addr)
+	for k := uint64(1); k <= 64; k++ {
+		if _, err := cl.Put(ctx, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lanes := 0
+	for _, b := range p.topo.Load().backs {
+		if b.lane.Load() != nil {
+			lanes++
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		gs := stacks("cluster.(*conn).")
+		other := 0
+		for _, g := range gs {
+			if !strings.Contains(g, "cluster.(*conn).recvLoop(") {
+				other++
+			}
+		}
+		if len(gs) == lanes && other == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d live lanes run %d goroutines, %d of them not a receiver; want one receiver each", lanes, len(gs), other)
+		}
+	}
+}
+
 // A client that pipelines GETs and never reads its responses stalls
 // only its own connection: its reader parks writing to it, and no lane
 // receiver ever writes to a client socket, so another client's GET

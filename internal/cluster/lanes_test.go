@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,36 +46,37 @@ func laneTotals(t *testing.T, reg *obs.Registry, backs []*testBackend) (writes, 
 	return writes, frames
 }
 
-// Frames from a client burst share lane writes: the reader only
-// queues each frame and wakes the lane's flusher, whose one writev
-// carries everything queued since its last write. 32 GETs over two
-// backends is 16 frames per backend; the bound leaves room for the
-// flusher catching a burst part-way through.
-//
-// The ratio is asserted only without -race. It compares the flusher's
-// wake latency with the reader's time per dispatched frame, and race
-// instrumentation stretches the second several-fold: on two cores the
-// flusher then wakes after a few frames and reads 3.9–7.3 frames per
-// write, at 13–16 with GOMAXPROCS=1, and at 7.8–15.8 without -race.
+// sendBursts sends n bursts of size GETs, each put on the wire by one
+// Flush, and reads every answer before the next burst.
+func sendBursts(t *testing.T, cl *kvstore.Client, n, size int) {
+	t.Helper()
+	for burst := 0; burst < n; burst++ {
+		for i := 0; i < size; i++ {
+			cl.SendGet(uint64(1 + burst*size + i))
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < size; i++ {
+			if _, _, err := cl.RecvGet(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// Frames from a client burst share lane writes: the reader queues each
+// frame on its lane and writes every lane it queued on once, before it
+// parks. 32 GETs over two backends is 16 frames per backend per burst;
+// the bound leaves room for the one-frame writes of hedges, which fire
+// from a timer and write at once.
 func TestProxyBurstBatching(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, backs, addr := startClusterWith(t, []string{"orcgc", "hp"},
 		Config{Replicas: 2, Metrics: reg})
 	cl := burstClient(t, addr, 32)
 	w0, f0 := laneTotals(t, reg, backs)
-	for burst := 0; burst < 50; burst++ {
-		for i := 0; i < 32; i++ {
-			cl.SendGet(uint64(1 + burst*32 + i))
-		}
-		if err := cl.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 32; i++ {
-			if _, _, err := cl.RecvGet(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	sendBursts(t, cl, 50, 32)
 	w1, f1 := laneTotals(t, reg, backs)
 	writes, frames := w1-w0, f1-f0
 	if frames < 50*32 {
@@ -78,7 +84,96 @@ func TestProxyBurstBatching(t *testing.T) {
 	}
 	ratio := float64(frames) / float64(writes)
 	t.Logf("%d frames in %d lane writes: %.2f frames/write", frames, writes, ratio)
-	if ratio < 4 && !raceEnabled {
+	if ratio < 4 {
 		t.Fatalf("%.2f frames per lane write, want ≥ 4", ratio)
+	}
+}
+
+// With one backend at R=1 no hedge can fire, so the reader is the
+// lane's only writer: each 32-GET burst is exactly one lane write.
+func TestProxyBurstOneWritePerLane(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, backs, addr := startClusterWith(t, []string{"orcgc"}, Config{Replicas: 1, Metrics: reg})
+	cl := burstClient(t, addr, 32)
+	w0, f0 := laneTotals(t, reg, backs)
+	sendBursts(t, cl, 50, 32)
+	w1, f1 := laneTotals(t, reg, backs)
+	if writes, frames := w1-w0, f1-f0; writes != 50 || frames != 50*32 {
+		t.Fatalf("50 bursts of 32 GETs took %d lane writes carrying %d frames, want 50 and %d", writes, frames, 50*32)
+	}
+}
+
+// stubKV serves the kvstore wire on a loopback port. STATS answers
+// with a stub scheme; a GET answers value 7 unless hold is set, in
+// which case it is read and never answered.
+func stubKV(t *testing.T, hold *atomic.Bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	stats, _ := json.Marshal(kvstore.Stats{Scheme: "stub"})
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				var req []byte
+				for {
+					payload, err := kvstore.ReadFrame(br, req)
+					if err != nil {
+						return
+					}
+					req = payload
+					var out []byte
+					switch payload[0] &^ kvstore.OpFlagBudget {
+					case kvstore.OpStats:
+						out = append([]byte{kvstore.StatusOK}, stats...)
+					case kvstore.OpGet:
+						if hold.Load() {
+							continue
+						}
+						out = kvstore.AppendU64([]byte{kvstore.StatusOK}, 7)
+					default:
+						out = []byte{kvstore.StatusErr}
+					}
+					if _, err := c.Write(kvstore.AppendFrame(nil, out)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// A continuation writes its own frame. The primary holds its reply and
+// the client sends nothing more, so its reader stays parked: only the
+// timer-fired hedge's own write can put the hedge on the secondary's
+// wire and answer the GET.
+func TestProxyHedgeWritesWithoutReader(t *testing.T) {
+	var hold [2]atomic.Bool
+	p, addr := startProxy(t, Config{Backends: []string{stubKV(t, &hold[0]), stubKV(t, &hold[1])}, Replicas: 2})
+	const key = 42
+	cands := p.readSet(key, nil)
+	if len(cands) != 2 {
+		t.Fatalf("key %d has %d read candidates, want 2", key, len(cands))
+	}
+	for i, a := range p.cfg.Backends {
+		hold[i].Store(a == cands[0].addr)
+	}
+	cl := proxyClient(t, addr)
+	gctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if v, ok, err := cl.Get(gctx, key); err != nil || !ok || v != 7 {
+		t.Fatalf("Get with a silent primary = %d, %v, %v", v, ok, err)
+	}
+	if info := p.Snapshot(); info.HedgesFired != 1 || info.HedgeWins != 1 {
+		t.Fatalf("hedges fired %d, won %d; want 1 and 1", info.HedgesFired, info.HedgeWins)
 	}
 }

@@ -250,8 +250,9 @@ func (p *Proxy) Shutdown() {
 // handle is the per-client-connection loop, one goroutine per
 // connection like kvserver's. It dispatches every whole frame already
 // in the read buffer, up to Depth, as one burst — data ops run as
-// pooled state machines, so nothing here spawns — then parks once
-// until the burst's last call settles, writes the responses in request
+// pooled state machines, so nothing here spawns — then writes each
+// backend lane the burst queued frames on, parks once until the
+// burst's last call settles, writes the responses in request
 // order (the protocol's pipelining contract) with one writev, and
 // reads again. Lane receivers settle the calls but never touch the
 // client socket, so a client that stops reading stalls only its own
@@ -283,11 +284,12 @@ func (p *Proxy) handle(c net.Conn) {
 			ca := getCall(bu)
 			bu.outstanding.Add(1)
 			bu.calls = append(bu.calls, ca)
-			p.dispatch(payload, ca)
+			p.dispatch(payload, ca, &bu.lanes)
 			if !kvstore.FrameBuffered(br) {
 				break
 			}
 		}
+		bu.lanes.flush()
 		if bu.outstanding.Add(-1) != 0 {
 			<-bu.wake
 		}
@@ -320,6 +322,7 @@ func (p *Proxy) handle(c net.Conn) {
 // reader, so a burst costs the reader one park.
 type burst struct {
 	calls       []*call
+	lanes       laneSet // lanes the burst queued frames on, written before the park
 	outstanding atomic.Int32
 	wake        chan struct{} // cap 1: one send per burst
 }
@@ -347,7 +350,7 @@ var (
 // observed RTT) and refuse ops whose budget is already spent before
 // submitting anything — the not-executed contract holds through the
 // proxy.
-func (p *Proxy) dispatch(payload []byte, ca *call) {
+func (p *Proxy) dispatch(payload []byte, ca *call, ls *laneSet) {
 	p.routed.Add(1)
 	req, budget, okb := kvstore.SplitBudget(payload)
 	if !okb {
@@ -365,14 +368,14 @@ func (p *Proxy) dispatch(payload []byte, ca *call) {
 			ca.fail(errShortReq)
 			return
 		}
-		p.startGet(req, key, deadline, ca)
+		p.startGet(req, key, deadline, ca, ls)
 	case kvstore.OpPut, kvstore.OpDel:
 		key, ok := kvstore.PayloadU64(req, 1)
 		if !ok {
 			ca.fail(errShortReq)
 			return
 		}
-		p.startWrite(req, key, deadline, ca)
+		p.startWrite(req, key, deadline, ca, ls)
 	case kvstore.OpScan:
 		from, ok1 := kvstore.PayloadU64(req, 1)
 		limit, ok2 := kvstore.PayloadU32(req, 9)
@@ -380,9 +383,9 @@ func (p *Proxy) dispatch(payload []byte, ca *call) {
 			ca.fail(errShortReq)
 			return
 		}
-		p.doScan(from, limit, deadline, ca)
+		p.doScan(from, limit, deadline, ca, ls)
 	case kvstore.OpStats:
-		p.doStats(ca)
+		p.doStats(ca, ls)
 	case kvstore.OpClusterInfo, kvstore.OpDrain, kvstore.OpClusterAdd, kvstore.OpClusterDrain, kvstore.OpClusterRemove:
 		go p.admin(op, string(req[1:]), deadline, ca) // the address is copied before the reader reuses req
 	default:
@@ -468,7 +471,7 @@ func scanReq(dst []byte, from uint64, limit uint32) []byte {
 // merges the replies with mergeScan on whichever lane receiver brings
 // the last one. A failed leg is tolerated; the scan fails only when no
 // backend answered.
-func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call) {
+func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call, ls *laneSet) {
 	// A scan's budget is checked proxy-side only; the backend fan-out
 	// stays unbudgeted because a shed scan source would silently truncate
 	// the merged window.
@@ -499,7 +502,7 @@ func (p *Proxy) doScan(from uint64, limit uint32, deadline time.Time, ca *call) 
 		}
 	}
 	var req [13]byte
-	scatter(sources, scanReq(req[:0], from, limit), func(legs []*call) {
+	scatter(sources, scanReq(req[:0], from, limit), ls, func(legs []*call) {
 		merged, _, failed := mergeScan(legs, limit, nil)
 		if failed == len(legs) {
 			ca.fail(errNoReplica)
@@ -564,8 +567,8 @@ func mergeScan(legs []*call, limit uint32, dst []kv) (merged []kv, more bool, fa
 // that arrive into one snapshot. Per-side detail is omitted: the
 // aggregate must fit one response frame regardless of cluster size
 // (per-backend sides live on each backend's own /metrics endpoint).
-func (p *Proxy) doStats(ca *call) {
-	scatter(p.topo.Load().backs, []byte{kvstore.OpStats}, func(legs []*call) {
+func (p *Proxy) doStats(ca *call, ls *laneSet) {
+	scatter(p.topo.Load().backs, []byte{kvstore.OpStats}, ls, func(legs []*call) {
 		agg := kvstore.Stats{}
 		var schemes []string
 		for _, lc := range legs {

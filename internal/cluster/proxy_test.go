@@ -69,6 +69,14 @@ func startClusterWith(t *testing.T, schemes []string, cfg Config) (*Proxy, []*te
 		backs[i] = startKV(t, s, "")
 		cfg.Backends[i] = backs[i].addr
 	}
+	p, addr := startProxy(t, cfg)
+	return p, backs, addr
+}
+
+// startProxy serves a proxy over cfg.Backends on a loopback port once
+// every backend is ready, and shuts it down when the test ends.
+func startProxy(t *testing.T, cfg Config) (*Proxy, string) {
+	t.Helper()
 	p := New(cfg)
 	if err := p.WaitReady(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -85,7 +93,7 @@ func startClusterWith(t *testing.T, schemes []string, cfg Config) (*Proxy, []*te
 			t.Errorf("proxy serve: %v", err)
 		}
 	})
-	return p, backs, ln.Addr().String()
+	return p, ln.Addr().String()
 }
 
 var ctx = context.Background()

@@ -89,13 +89,10 @@ func (p *Proxy) forEachKey(sources []*backend, fn func(k uint64) error) error {
 		more   bool
 		failed int
 	)
-	settled := make(chan struct{}, 1)
 	for cursor := kvstore.MinKey; ; {
-		scatter(sources, scanReq(reqb[:0], cursor, kvstore.MaxScanLimit), func(legs []*call) {
+		scatterWait(sources, scanReq(reqb[:0], cursor, kvstore.MaxScanLimit), func(legs []*call) {
 			keys, more, failed = mergeScan(legs, kvstore.MaxScanLimit, keys)
-			settled <- struct{}{}
 		})
-		<-settled
 		if failed > 0 {
 			return errors.New("cluster: rebalance scan lost a source")
 		}

@@ -17,8 +17,11 @@ type Node struct {
 	next     [MaxLevels]core.Atomic
 }
 
+// nodeLinks visits levels 0..topLevel only: inserts link no level
+// above a node's topLevel, and the arena zeroes a slot on free, so a
+// reused short node's upper links are nil (TestUpperLinksStayNil).
 func nodeLinks(n *Node, visit func(*core.Atomic)) {
-	for l := range n.next {
+	for l := range n.next[:n.topLevel+1] {
 		visit(&n.next[l])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/reclaim"
 )
@@ -259,5 +260,80 @@ func TestCRFFootprintBeatsHS(t *testing.T) {
 	t.Logf("high-water live nodes: HS=%d CRF=%d", hsHigh, crfHigh)
 	if crfHigh > hsHigh*2 {
 		t.Fatalf("CRF footprint (%d) should not exceed HS (%d)", crfHigh, hsHigh)
+	}
+}
+
+// TestUpperLinksStayNil guards the bound nodeLinks walks: a node's
+// links above its topLevel are never set — inserts link only levels
+// 0..topLevel, and the arena zeroes a slot on free, so a reused short
+// node starts with nil upper links. After concurrent churn every node
+// still live (reached from head over the links of every level) must
+// have nil links above its topLevel, and the walk must reach every
+// node the arena counts live.
+func TestUpperLinksStayNil(t *testing.T) {
+	const workers = 8
+	type orcList interface {
+		set
+		Domain() *core.Domain[Node]
+	}
+	for name, s := range map[string]orcList{
+		"hs-orc":  NewHSOrc(0, core.DomainConfig{MaxThreads: workers + 1}),
+		"crf-orc": NewCRFOrc(0, core.DomainConfig{MaxThreads: workers + 1}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(tid int) {
+					defer wg.Done()
+					rng := uint64(tid)*40503 + 13
+					for i := 0; i < 10_000; i++ {
+						rng = rng*6364136223846793005 + 1442695040888963407
+						k := rng%512 + 1
+						switch rng % 3 {
+						case 0:
+							s.Insert(tid, k)
+						case 1:
+							s.Remove(tid, k)
+						default:
+							s.Contains(tid, k)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			d := s.Domain()
+			d.FlushAll()
+			var head arena.Handle
+			switch l := s.(type) {
+			case *HSOrc:
+				head = l.head.Raw()
+			case *CRFOrc:
+				head = l.head.Raw()
+			}
+			seen := map[arena.Handle]bool{head: true}
+			for todo := []arena.Handle{head}; len(todo) > 0; {
+				h := todo[len(todo)-1]
+				todo = todo[:len(todo)-1]
+				n := d.Get(h)
+				for l := range n.next {
+					next := n.next[l].Raw()
+					if int32(l) > n.topLevel {
+						if next != 0 {
+							t.Fatalf("node %d (topLevel %d) has level %d linked to %v", n.key, n.topLevel, l, next)
+						}
+						continue
+					}
+					if next = next.Unmarked(); !next.IsNil() && !seen[next] {
+						seen[next] = true
+						todo = append(todo, next)
+					}
+				}
+			}
+			if live := d.Arena().Stats().Live; int64(len(seen)) != live {
+				t.Fatalf("walk reached %d nodes, arena holds %d live", len(seen), live)
+			}
+			t.Logf("%d live nodes checked", len(seen))
+		})
 	}
 }
