@@ -6,7 +6,7 @@ GO ?= go
 # lock-free metrics registry all of them report into.
 RACE_PKGS = ./internal/arena/ ./internal/core/ ./internal/reclaim/ ./internal/kvstore/ ./internal/cluster/ ./internal/obs/ ./internal/torture/
 
-.PHONY: check vet orcvet build test race race-peek cluster-guards bench bench-smoke serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke fuzz-smoke profile-cluster clean
+.PHONY: check vet orcvet build test race race-peek cluster-guards bench bench-smoke figures-smoke serve load smoke metrics-smoke torture-smoke torture-orc torture-kv cluster-smoke overload-smoke fuzz-smoke profile-cluster clean
 
 BIN = bin
 
@@ -66,6 +66,12 @@ bench:
 # and drives the proxy fast path end to end through proxy-read.
 bench-smoke:
 	bash benchmark/run.sh --seconds 2 --trace 0
+
+# Every paper figure through the orcbench CLI at toy scale. Table 1's
+# row makes the run exit non-zero if PTP's maximum retired-not-freed
+# count exceeds t(H+1).
+figures-smoke:
+	$(GO) run ./cmd/orcbench -fig all -threads 1,2 -duration 20ms -keys-big 2000
 
 # orcstore: run the KV server (RECLAIM selects the scheme) and drive it.
 # The metrics endpoint comes up alongside: curl $(METRICS)/metrics.

@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation, one benchmark family
 // per table/figure. Each family measures at a fixed thread count (the
-// full thread sweeps are cmd/orcbench's job); the "AMD" figures are the
-// exchange-publish ablation documented in DESIGN.md §1.
+// full thread sweeps are cmd/orcbench's job). The paper's even-numbered
+// (AMD) figures are not reproduced; DESIGN.md §3 says why.
 //
 //	go test -bench=. -benchmem
 package repro
@@ -13,9 +13,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/ds/msqueue"
-	"repro/internal/reclaim"
 )
 
 func benchThreads() int {
@@ -99,32 +96,11 @@ func runSetBench(b *testing.B, name string, keys uint64, mix bench.Mix) {
 	wg.Wait()
 }
 
-func withSwapPublish(b *testing.B, f func(*testing.B)) {
-	core.PublishWithSwap.Store(true)
-	reclaim.PublishWithSwap.Store(true)
-	defer func() {
-		core.PublishWithSwap.Store(false)
-		reclaim.PublishWithSwap.Store(false)
-	}()
-	f(b)
-}
-
 // BenchmarkFig1Queues — Figure 1: each queue with OrcGC and with no
-// reclamation (store publish, the "Intel" configuration).
+// reclamation.
 func BenchmarkFig1Queues(b *testing.B) {
 	for _, name := range bench.QueueNames() {
 		b.Run(name, func(b *testing.B) { runQueueBench(b, name) })
-	}
-}
-
-// BenchmarkFig2Queues — Figure 2: the same under the exchange-publish
-// ablation (the "AMD" machine stand-in).
-func BenchmarkFig2Queues(b *testing.B) {
-	for _, name := range []string{"ms-orc", "ms-leak", "lcrq-orc", "kp-orc", "turn-orc"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			withSwapPublish(b, func(b *testing.B) { runQueueBench(b, name) })
-		})
 	}
 }
 
@@ -140,17 +116,6 @@ func BenchmarkFig3ListSchemes(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4ListSchemes — Figure 4: the AMD-ablation counterpart of
-// Figure 3 (write-heavy mix, where the paper saw the 50% drop).
-func BenchmarkFig4ListSchemes(b *testing.B) {
-	for _, name := range bench.ListSchemeNames() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			withSwapPublish(b, func(b *testing.B) { runSetBench(b, name, 1000, bench.MixWrite) })
-		})
-	}
-}
-
 // BenchmarkFig5OrcLists — Figure 5: Harris, Michael, HS and TBKP lists
 // under OrcGC.
 func BenchmarkFig5OrcLists(b *testing.B) {
@@ -163,16 +128,6 @@ func BenchmarkFig5OrcLists(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6OrcLists — Figure 6: the ablation counterpart of Fig. 5.
-func BenchmarkFig6OrcLists(b *testing.B) {
-	for _, name := range bench.OrcListNames() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			withSwapPublish(b, func(b *testing.B) { runSetBench(b, name, 1000, bench.MixWrite) })
-		})
-	}
-}
-
 // BenchmarkFig7TreeSkip — Figure 7: NM-tree, HS-skip and CRF-skip on the
 // large key range.
 func BenchmarkFig7TreeSkip(b *testing.B) {
@@ -182,16 +137,6 @@ func BenchmarkFig7TreeSkip(b *testing.B) {
 				runSetBench(b, name, 20_000, mix)
 			})
 		}
-	}
-}
-
-// BenchmarkFig8TreeSkip — Figure 8: the ablation counterpart of Fig. 7.
-func BenchmarkFig8TreeSkip(b *testing.B) {
-	for _, name := range bench.TreeSkipNames() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			withSwapPublish(b, func(b *testing.B) { runSetBench(b, name, 20_000, bench.MixWrite) })
-		})
 	}
 }
 
@@ -242,40 +187,6 @@ func BenchmarkExtHashMap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPTPClearDrain — Algorithm 2 marks the clear-time
-// handover drain (lines 15–19) optional; this ablation measures its
-// throughput cost on the MS queue, where Clear runs on every operation.
-func BenchmarkAblationPTPClearDrain(b *testing.B) {
-	for _, drain := range []bool{true, false} {
-		drain := drain
-		name := "drain-on"
-		if !drain {
-			name = "drain-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			threads := benchThreads()
-			q := msqueue.NewManual("ptp", reclaim.Options{MaxThreads: threads})
-			q.Scheme().(*reclaim.PTP).DrainOnClear = drain
-			per := b.N/threads + 1
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < threads; w++ {
-				wg.Add(1)
-				go func(tid int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						q.Enqueue(tid, uint64(i))
-						q.Dequeue(tid)
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(q.Scheme().Stats().RetiredNotFreed), "pending-at-end")
-		})
-	}
-}
-
 // BenchmarkTable1MemoryBound — the measured bound column of Table 1:
 // max retired-not-freed objects per scheme under adversarial pressure.
 func BenchmarkTable1MemoryBound(b *testing.B) {
@@ -284,12 +195,12 @@ func BenchmarkTable1MemoryBound(b *testing.B) {
 		b.Run(scheme, func(b *testing.B) {
 			threads := benchThreads() + 2
 			b.ResetTimer()
-			maxPend, freed := bench.MeasureBound(scheme, threads, 3, 150*time.Millisecond)
+			res := bench.MeasureBoundObs(scheme, threads, 3, 150*time.Millisecond, 0)
 			b.StopTimer()
-			b.ReportMetric(float64(maxPend), "max-pending")
-			b.ReportMetric(float64(freed), "freed")
-			if scheme == "ptp" && maxPend > int64(threads*4) {
-				b.Fatalf("PTP bound violated: %d > %d", maxPend, threads*4)
+			b.ReportMetric(float64(res.MaxPending), "max-pending")
+			b.ReportMetric(float64(res.Freed), "freed")
+			if scheme == "ptp" && res.MaxPending > int64(threads*4) {
+				b.Fatalf("PTP bound violated: %d > %d", res.MaxPending, threads*4)
 			}
 		})
 	}

@@ -198,7 +198,7 @@ func (m Mix) String() string {
 	return fmt.Sprintf("%di-%dr-%dc", m.InsertPct, m.RemovePct, 100-m.InsertPct-m.RemovePct)
 }
 
-// The paper's three workloads (Figures 3–8).
+// The paper's three workloads (Figures 3, 5 and 7).
 var (
 	MixWrite = Mix{InsertPct: 50, RemovePct: 50}
 	MixRead  = Mix{InsertPct: 5, RemovePct: 5}

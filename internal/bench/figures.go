@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/arena"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/reclaim"
-	"repro/internal/rt"
 )
 
 // Config controls a figure run. Defaults are CI-scale; the artifact-
@@ -20,10 +18,9 @@ type Config struct {
 	Threads  []int
 	Duration time.Duration
 	Runs     int
-	KeysList uint64 // Figures 3–6 key range (paper: 1e3)
-	KeysBig  uint64 // Figures 7–8 key range (paper: 1e6)
+	KeysList uint64 // Figures 3 and 5 key range (paper: 1e3)
+	KeysBig  uint64 // Figure 7 key range (paper: 1e6)
 	DataDir  string // TSV output directory ("" = don't write)
-	Swap     bool   // publish-with-exchange ablation (the "AMD" figures)
 	// SamplePeriod is the obs.Sampler cadence for the backlog time
 	// series in the Table 1 harness (default 1ms).
 	SamplePeriod time.Duration
@@ -59,61 +56,53 @@ func (c *Config) normalize() {
 	}
 }
 
-func (c *Config) applyPublishMode() func() {
-	prevC := core.PublishWithSwap.Load()
-	prevR := reclaim.PublishWithSwap.Load()
-	core.PublishWithSwap.Store(c.Swap)
-	reclaim.PublishWithSwap.Store(c.Swap)
-	return func() {
-		core.PublishWithSwap.Store(prevC)
-		reclaim.PublishWithSwap.Store(prevR)
-	}
+// figures is every runnable experiment in paper order: "1" queues;
+// "3" list × schemes; "5" lists × OrcGC; "7" tree + skip lists; "mem"
+// the §5 footprint experiment; "table1" the measured memory-bound
+// table. The paper's even-numbered figures rerun these on an AMD host;
+// DESIGN.md §3 says why they are not reproduced.
+var figures = []struct {
+	id  string
+	run func(Config, io.Writer) error
+}{
+	{"1", figQueues},
+	{"3", func(cfg Config, w io.Writer) error {
+		return figSets(cfg, w, "Figure 3: Michael-Harris list 10^3 keys, reclamation schemes",
+			"fig3-list", ListSchemeNames(), cfg.KeysList)
+	}},
+	{"5", func(cfg Config, w io.Writer) error {
+		return figSets(cfg, w, "Figure 5: four linked lists under OrcGC, 10^3 keys",
+			"fig5-orclists", OrcListNames(), cfg.KeysList)
+	}},
+	{"7", func(cfg Config, w io.Writer) error {
+		return figSets(cfg, w, "Figure 7: NM-tree and skip lists, large key range",
+			"fig7-treeskip", TreeSkipNames(), cfg.KeysBig)
+	}},
+	{"mem", MemFootprint},
+	{"table1", Table1Bounds},
 }
 
-// Figure runs one of the paper's figures/experiments by id:
-// "1","2" queues; "3","4" list × schemes; "5","6" lists × OrcGC;
-// "7","8" tree + skip lists; "mem" the §5 footprint experiment;
-// "table1" the measured memory-bound table.
+// Figure runs one of the paper's figures/experiments by id (FigureIDs).
 func Figure(id string, cfg Config, w io.Writer) error {
 	cfg.normalize()
-	switch id {
-	case "1":
-		return figQueues(cfg, w, "Figure 1: queues, enq/deq pairs, normalized to no-reclamation (store publish)")
-	case "2":
-		cfg.Swap = true
-		return figQueues(cfg, w, "Figure 2: queues, enq/deq pairs, normalized (exchange-publish ablation standing in for the AMD machine)")
-	case "3":
-		return figListSchemes(cfg, w, "Figure 3: Michael-Harris list 10^3 keys, reclamation schemes (store publish)")
-	case "4":
-		cfg.Swap = true
-		return figListSchemes(cfg, w, "Figure 4: Michael-Harris list 10^3 keys, schemes (exchange-publish ablation / AMD)")
-	case "5":
-		return figOrcLists(cfg, w, "Figure 5: four linked lists under OrcGC, 10^3 keys (store publish)")
-	case "6":
-		cfg.Swap = true
-		return figOrcLists(cfg, w, "Figure 6: four linked lists under OrcGC (exchange-publish ablation / AMD)")
-	case "7":
-		return figTreeSkip(cfg, w, "Figure 7: NM-tree and skip lists, large key range (store publish)")
-	case "8":
-		cfg.Swap = true
-		return figTreeSkip(cfg, w, "Figure 8: NM-tree and skip lists (exchange-publish ablation / AMD)")
-	case "mem":
-		return MemFootprint(cfg, w)
-	case "table1":
-		return Table1Bounds(cfg, w)
-	default:
-		return fmt.Errorf("bench: unknown figure %q", id)
+	for _, f := range figures {
+		if f.id == id {
+			return f.run(cfg, w)
+		}
 	}
+	return fmt.Errorf("bench: unknown figure %q", id)
 }
 
 // FigureIDs lists every runnable experiment id in paper order.
 func FigureIDs() []string {
-	return []string{"1", "2", "3", "4", "5", "6", "7", "8", "mem", "table1"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }
 
-func figQueues(cfg Config, w io.Writer, title string) error {
-	restore := cfg.applyPublishMode()
-	defer restore()
+func figQueues(cfg Config, w io.Writer) error {
 	pairs := [][2]string{
 		{"ms-orc", "ms-leak"},
 		{"lcrq-orc", "lcrq-leak"},
@@ -135,13 +124,9 @@ func figQueues(cfg Config, w io.Writer, title string) error {
 		norm = append(norm, orcS)
 		abs = append(abs, absS)
 	}
-	PrintTable(w, title, norm)
+	PrintTable(w, "Figure 1: queues, enq/deq pairs, normalized to no-reclamation", norm)
 	PrintTable(w, "  (absolute OrcGC throughput, Mops/s)", abs)
-	fname := "fig1-queues"
-	if cfg.Swap {
-		fname = "fig2-queues-swap"
-	}
-	return WriteTSV(cfg.DataDir, fname, norm)
+	return WriteTSV(cfg.DataDir, "fig1-queues", norm)
 }
 
 func queueFactory(name string) func(int) QueueInstance {
@@ -152,75 +137,21 @@ func setFactory(name string) func(int) SetInstance {
 	return func(t int) SetInstance { return NewSet(name, t) }
 }
 
-func figListSchemes(cfg Config, w io.Writer, title string) error {
-	restore := cfg.applyPublishMode()
-	defer restore()
+// figSets is the set-figure driver: every subject at every thread count
+// over keys, once per mix, in Mops/s, one TSV per mix named file-<mix>.
+func figSets(cfg Config, w io.Writer, title, file string, subjects []string, keys uint64) error {
 	for _, mix := range []Mix{MixWrite, MixRead, MixRO} {
 		var series []Series
-		for _, name := range ListSchemeNames() {
+		for _, name := range subjects {
 			s := Series{Name: name, Points: map[int]float64{}}
 			for _, t := range cfg.Threads {
-				r := RunSet(setFactory(name), t, cfg.KeysList, mix, cfg.Duration, cfg.Runs)
+				r := RunSet(setFactory(name), t, keys, mix, cfg.Duration, cfg.Runs)
 				s.Points[t] = r.OpsPerSec / 1e6
 			}
 			series = append(series, s)
 		}
 		PrintTable(w, fmt.Sprintf("%s — mix %s (Mops/s)", title, mix), series)
-		fname := fmt.Sprintf("fig3-list-%s", mix)
-		if cfg.Swap {
-			fname = fmt.Sprintf("fig4-list-%s-swap", mix)
-		}
-		if err := WriteTSV(cfg.DataDir, fname, series); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func figOrcLists(cfg Config, w io.Writer, title string) error {
-	restore := cfg.applyPublishMode()
-	defer restore()
-	for _, mix := range []Mix{MixWrite, MixRead, MixRO} {
-		var series []Series
-		for _, name := range OrcListNames() {
-			s := Series{Name: name, Points: map[int]float64{}}
-			for _, t := range cfg.Threads {
-				r := RunSet(setFactory(name), t, cfg.KeysList, mix, cfg.Duration, cfg.Runs)
-				s.Points[t] = r.OpsPerSec / 1e6
-			}
-			series = append(series, s)
-		}
-		PrintTable(w, fmt.Sprintf("%s — mix %s (Mops/s)", title, mix), series)
-		fname := fmt.Sprintf("fig5-orclists-%s", mix)
-		if cfg.Swap {
-			fname = fmt.Sprintf("fig6-orclists-%s-swap", mix)
-		}
-		if err := WriteTSV(cfg.DataDir, fname, series); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func figTreeSkip(cfg Config, w io.Writer, title string) error {
-	restore := cfg.applyPublishMode()
-	defer restore()
-	for _, mix := range []Mix{MixWrite, MixRead, MixRO} {
-		var series []Series
-		for _, name := range TreeSkipNames() {
-			s := Series{Name: name, Points: map[int]float64{}}
-			for _, t := range cfg.Threads {
-				r := RunSet(setFactory(name), t, cfg.KeysBig, mix, cfg.Duration, cfg.Runs)
-				s.Points[t] = r.OpsPerSec / 1e6
-			}
-			series = append(series, s)
-		}
-		PrintTable(w, fmt.Sprintf("%s — mix %s (Mops/s)", title, mix), series)
-		fname := fmt.Sprintf("fig7-treeskip-%s", mix)
-		if cfg.Swap {
-			fname = fmt.Sprintf("fig8-treeskip-%s-swap", mix)
-		}
-		if err := WriteTSV(cfg.DataDir, fname, series); err != nil {
+		if err := WriteTSV(cfg.DataDir, file+"-"+mix.String(), series); err != nil {
 			return err
 		}
 	}
@@ -291,7 +222,7 @@ type boundNode struct{ self uint64 }
 // (used for the t(H+1) enforcement), the sum of per-thread peaks for
 // the other schemes (reclaim.Stats); SampledMaxPending is the same
 // backlog as seen through the obs.Sampler cadence — the figure
-// cmd/membound and the kvserver report, kept here so the bench harness
+// `orcbench -fig table1` and the kvserver report, kept here so the bench harness
 // and the service share one source of truth for "how deep did the
 // backlog get".
 type BoundResult struct {
@@ -301,15 +232,9 @@ type BoundResult struct {
 	Freed             uint64
 }
 
-// MeasureBound runs the adversarial stress from the reclaim tests at
-// benchmark scale and reports the scheme's high-water pending count.
-func MeasureBound(scheme string, threads, hps int, dur time.Duration) (maxPending int64, freed uint64) {
-	res := MeasureBoundObs(scheme, threads, hps, dur, 0)
-	return res.MaxPending, res.Freed
-}
-
-// MeasureBoundObs is MeasureBound with the observability layer attached:
-// the scheme is constructed with a private obs.Registry and a Sampler
+// MeasureBoundObs runs the adversarial stress from the reclaim tests at
+// benchmark scale and reports the scheme's high-water pending count,
+// with the observability layer attached: the scheme is constructed with a private obs.Registry and a Sampler
 // polls its pending gauge every samplePeriod (default 1ms) for the
 // sampled-backlog column.
 func MeasureBoundObs(scheme string, threads, hps int, dur, samplePeriod time.Duration) BoundResult {
@@ -339,8 +264,6 @@ func MeasureBoundObs(scheme string, threads, hps int, dur, samplePeriod time.Dur
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			rng := rt.PaddedUint64{}
-			rng.Store(uint64(tid + 1))
 			x := uint64(tid + 1)
 			for !stop.Load() {
 				x = x*6364136223846793005 + 1442695040888963407

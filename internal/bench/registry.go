@@ -100,7 +100,7 @@ func leakAdmin[T any](a *arena.Arena[T]) Admin {
 	}
 }
 
-// QueueNames lists the queue subjects of Figures 1–2: each algorithm
+// QueueNames lists the queue subjects of Figure 1: each algorithm
 // with OrcGC and with no reclamation (the normalization baseline), plus
 // the MS queue under every manual scheme as an extra comparison.
 func QueueNames() []string {
@@ -170,13 +170,13 @@ func manualMSQueue(scheme string, threads int) QueueInstance {
 	}, Admin: manualAdmin(q.Arena(), q.Scheme(), threads), Drain: q.Drain}
 }
 
-// ListSchemeNames are the Figure 3–4 subjects: the Michael–Harris list
+// ListSchemeNames are the Figure 3 subjects: the Michael–Harris list
 // under each manual scheme and under OrcGC.
 func ListSchemeNames() []string {
 	return []string{"list-hp", "list-ptb", "list-ptp", "list-ebr", "list-he", "list-ibr", "list-none", "list-orc"}
 }
 
-// OrcListNames are the Figure 5–6 subjects: four lists, OrcGC only.
+// OrcListNames are the Figure 5 subjects: four lists, OrcGC only.
 func OrcListNames() []string {
 	return []string{"harris-orc", "michael-orc", "hs-orc", "tbkp-orc"}
 }
@@ -188,7 +188,7 @@ func HashMapNames() []string {
 	return []string{"hmap-orc", "hmap-hp", "hmap-ptb", "hmap-ptp", "hmap-ebr", "hmap-he", "hmap-ibr", "hmap-none"}
 }
 
-// TreeSkipNames are the Figure 7–8 subjects.
+// TreeSkipNames are the Figure 7 subjects.
 func TreeSkipNames() []string {
 	return []string{
 		"tree-orc", "tree-ebr", "tree-none",

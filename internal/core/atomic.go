@@ -154,14 +154,6 @@ func (d *Domain[T]) LoadScratch(tid int, a *Atomic) arena.Handle {
 	return d.getProtected(tid, 0, a)
 }
 
-// PublishWithSwap selects how hazardous pointers are published: false
-// uses an atomic store, true an atomic exchange. The paper attributes
-// its Intel-vs-AMD gap to exactly this instruction choice (§5: replacing
-// the exchange with an mfence-backed store made AMD behave like Intel),
-// so the cross-machine figures become an ablation over this knob here.
-// Flip only while the domain is quiescent.
-var PublishWithSwap atomic.Bool
-
 // getProtected is the PTP/HP publication loop over an orc link,
 // publishing the unmarked handle at hp[tid][idx]. The loop seeds its
 // published value from the slot's shadow: when the link still holds
@@ -173,7 +165,6 @@ var PublishWithSwap atomic.Bool
 // re-read of the link is unchanged.
 func (d *Domain[T]) getProtected(tid int, idx int32, a *Atomic) arena.Handle {
 	t := d.tl[tid]
-	swap := PublishWithSwap.Load()
 	published := t.shadow[idx]
 	stored := false
 	for {
@@ -193,11 +184,7 @@ func (d *Domain[T]) getProtected(tid int, idx int32, a *Atomic) arena.Handle {
 		if !t.joined {
 			d.join(t)
 		}
-		if swap {
-			t.hp[idx].Swap(u)
-		} else {
-			t.hp[idx].Store(u)
-		}
+		t.hp[idx].Store(u)
 		t.shadow[idx] = u
 		published = u
 		stored = true

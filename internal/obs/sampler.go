@@ -9,8 +9,8 @@ import (
 // "sampled/<name>" in its registry. It exists for figures that need a
 // *cadenced* time series with a high-water mark — the paper's
 // retired-but-unreclaimed backlog above all — rather than a value at
-// whatever instant a scrape happens to land. cmd/membound and the
-// kvserver both read backlog figures from one Sampler, so there is a
+// whatever instant a scrape happens to land. `orcbench -fig table1` and
+// the kvserver both read backlog figures from one Sampler, so there is a
 // single source of truth for "how deep did the retire backlog get".
 type Sampler struct {
 	reg      *Registry

@@ -80,11 +80,6 @@ func (a *hpArrays) clearAll(tid int) {
 	}
 }
 
-// PublishWithSwap mirrors core.PublishWithSwap for the manual schemes:
-// publish hazardous pointers with exchange instead of store (the
-// Intel/AMD ablation of DESIGN.md). Flip only at quiescence.
-var PublishWithSwap atomic.Bool
-
 // getProtected is the protection loop shared verbatim by HP, PTB and PTP
 // (the paper notes the three schemes protect identically): re-publish
 // until the address still holds the published value. The loop seeds its
@@ -93,7 +88,6 @@ var PublishWithSwap atomic.Bool
 // or revisiting the same node — validates immediately with no store at
 // all (the elision fast path).
 func (a *hpArrays) getProtected(tid, idx int, addr *atomic.Uint64) arena.Handle {
-	swap := PublishWithSwap.Load()
 	sh := a.shadow[tid]
 	published := sh[idx]
 	stored := false
@@ -111,11 +105,7 @@ func (a *hpArrays) getProtected(tid, idx int, addr *atomic.Uint64) arena.Handle 
 			rt.Step(rt.SiteProtect, tid)
 			return v
 		}
-		if swap {
-			a.rows[tid][idx].Swap(u)
-		} else {
-			a.rows[tid][idx].Store(u)
-		}
+		a.rows[tid][idx].Store(u)
 		sh[idx] = u
 		published = u
 		stored = true

@@ -28,13 +28,6 @@ type PTP struct {
 	hp        *hpArrays
 	handovers [][]atomic.Uint64
 
-	// DrainOnClear enables Algorithm 2 lines 15–19: Clear also drains
-	// the paired handover slot. The paper marks those lines optional —
-	// without them objects can sit parked until the slot's next use,
-	// affecting neither correctness nor the bound. Default true; flip
-	// only before the scheme is shared (ablation benchmarks use this).
-	DrainOnClear bool
-
 	// Every retire and free writes these; the padding keeps them off the
 	// line of the fields every Clear and GetProtected reads.
 	_                [rt.CacheLine]byte
@@ -43,7 +36,7 @@ type PTP struct {
 
 // newPTP builds a pass-the-pointer instance; construct via New("ptp", …).
 func newPTP(env Env, cfg Options) *PTP {
-	p := &PTP{base: newBase("ptp", env, cfg), DrainOnClear: true}
+	p := &PTP{base: newBase("ptp", env, cfg)}
 	p.hp = newHPArrays(p.tc, p.cfg.MaxHPs)
 	p.handovers = make([][]atomic.Uint64, p.cfg.MaxThreads)
 	for i := range p.handovers {
@@ -65,9 +58,6 @@ func (p *PTP) Protect(tid, idx int, v arena.Handle) { p.hp.publish(tid, idx, uin
 // delete whatever object was parked there.
 func (p *PTP) Clear(tid, idx int) {
 	p.hp.clear(tid, idx)
-	if !p.DrainOnClear {
-		return
-	}
 	if p.handovers[tid][idx].Load() != 0 {
 		if v := arena.Handle(p.handovers[tid][idx].Swap(0)); !v.IsNil() {
 			p.handoverOrDelete(tid, v, tid)

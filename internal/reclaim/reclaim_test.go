@@ -240,40 +240,6 @@ func TestPTPBoundInvariant(t *testing.T) {
 	t.Logf("PTP max retired-not-freed = %d (bound %d)", st.MaxRetiredNotFreed, bound)
 }
 
-// TestPTPNoDrainStillCorrect: with Algorithm 2's optional clear-drain
-// disabled, parked objects linger until the slot is reused, but nothing
-// may be freed early and the bound must still hold.
-func TestPTPNoDrainStillCorrect(t *testing.T) {
-	a, env := testEnv(t, arena.Strict)
-	s := newPTP(env, Options{MaxThreads: 2, MaxHPs: 2})
-	s.DrainOnClear = false
-
-	var slot atomic.Uint64
-	h := allocNode(a, s)
-	slot.Store(uint64(h))
-	s.GetProtected(1, 0, &slot)
-	slot.Store(0)
-	s.Retire(0, h) // parks at thread 1 slot 0
-	s.Clear(1, 0)  // without drain the object stays parked
-	if !a.Valid(h) {
-		t.Fatal("parked object freed by drain-less clear")
-	}
-	// Reusing the slot and retiring the new occupant displaces it.
-	h2 := allocNode(a, s)
-	slot.Store(uint64(h2))
-	s.GetProtected(1, 0, &slot)
-	slot.Store(0)
-	s.Retire(0, h2)
-	if a.Valid(h) {
-		t.Fatal("displaced object not freed")
-	}
-	s.Clear(1, 0) // drop the protection (no drain), then flush the park
-	s.Flush(1)
-	if a.Valid(h2) {
-		t.Fatal("h2 not freed after flush")
-	}
-}
-
 // TestSchemeStress runs a protect/replace/retire mill under every
 // scheme with the strict arena: any use-after-free panics.
 func TestSchemeStress(t *testing.T) {
